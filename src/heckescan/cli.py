@@ -188,6 +188,12 @@ def _cmd_scan(args):
         resume=args.resume,
         serial_above=args.serial_above,
     )
+    if report.torn_tail is not None:
+        print(
+            f"warning: {args.out}: cut off a torn last record {report.torn_tail[:40]!r} "
+            "(no newline) before appending",
+            file=sys.stderr,
+        )
     if args.json:
         print(json.dumps({
             "k_min": report.k_min,

@@ -2,16 +2,19 @@
 
 Everything is exact integer arithmetic on the echelon basis: the
 coefficient formula a_{2j}(f) + 2^(k-1) a_{j/2}(f), the trace, the full
-matrix, its characteristic polynomial, a mod-q irreducibility certifier,
-eigenform coefficients for the one-dimensional spaces, and the search for
-the first Fourier coefficient separating two coefficient sequences.
+matrix, its characteristic polynomial, an irreducibility certificate from
+factor-degree sets mod primes, eigenform coefficients for the
+one-dimensional spaces, and the search for the first Fourier coefficient
+separating two coefficient sequences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .modforms import dim_cusp, miller_basis
+from .primes import primes_above
 from .series import IntSeries
 
 
@@ -155,8 +158,8 @@ def _matmul(a, b):
 class IrreducibilityVerdict:
     """Outcome of check_irreducible.
 
-    kind is "irreducible" (with the witness prime whose reduction is
-    irreducible, or None for degree 1), "reducible" (with the degrees of a
+    kind is "irreducible" (with the witness prime that closed the degree-set
+    certificate, or None for degree 1), "reducible" (with the degrees of a
     certified factorization over Q, factors not necessarily irreducible),
     or "inconclusive" (prime budget exhausted; no claim either way).
     """
@@ -174,11 +177,23 @@ class IrreducibilityVerdict:
 def check_irreducible(poly, prime_budget=None):
     """Certify irreducibility of a monic integer polynomial over Q.
 
-    A prime q whose reduction mod q has no factor of degree <= deg/2 is a
-    witness of irreducibility.  Reducibility is certified only through an
-    exhibited rational root.  If no verdict is reached within the prime
-    budget (default 25 * degree), the result is inconclusive -- never a
-    false claim in either direction.
+    A factor of degree e over Q reduces, at any prime q where the
+    polynomial stays squarefree, to a product of irreducible factors mod q
+    whose degrees sum to e.  So e is a subset sum of the factor degrees
+    mod q at every such q, and the polynomial is irreducible once no
+    proper degree 1..deg-1 survives the intersection of those subset-sum
+    sets (Musser's degree-set test; one irreducible reduction is the
+    special case).  The primes only choose where to look: every degree set
+    comes from an exact distinct-degree factorization mod q.
+
+    For a CharPoly of weight k the primes start above k, where reductions
+    are far more often squarefree and informative; a plain coefficient
+    list starts at 2.  A prime whose reduction is not squarefree is
+    skipped but still counts against the budget (default 25 * degree).
+    witness_prime is the prime that closed the certificate (None for
+    degree 1).  Reducibility is certified only through an exhibited
+    rational root.  If no verdict is reached within the budget, the result
+    is inconclusive -- never a false claim in either direction.
     """
     coeffs = _monic_int_coeffs(poly)
     d = len(coeffs) - 1
@@ -186,22 +201,29 @@ def check_irreducible(poly, prime_budget=None):
         raise ValueError("constant polynomial has no irreducibility verdict")
     if d == 1:
         return IrreducibilityVerdict("irreducible")
-    roots = _integer_roots(coeffs)
-    if roots:
-        degrees, n_linear = roots
+    degrees = _integer_roots(coeffs)
+    if degrees:
         return IrreducibilityVerdict("reducible", factor_degrees=degrees)
     if prime_budget is None:
         prime_budget = 25 * d
     if prime_budget < 1:
         raise ValueError("prime budget must be positive")
-    tried = 0
     asc = coeffs[::-1]
-    for q in _prime_stream():
+    # bit e set: a factor of degree e over Q is not yet ruled out
+    open_degrees = (1 << d) - 2
+    tried = 0
+    for q in primes_above(poly.weight if isinstance(poly, CharPoly) else 1):
         if tried >= prime_budget:
             break
         tried += 1
-        fq = [c % q for c in asc]
-        if _irreducible_mod_q(fq, q):
+        pattern = _factor_degrees_mod_q([c % q for c in asc], q)
+        if pattern is None:
+            continue
+        sums = 1
+        for e in pattern:
+            sums |= sums << e
+        open_degrees &= sums
+        if not open_degrees:
             return IrreducibilityVerdict("irreducible", witness_prime=q, primes_tried=tried)
     return IrreducibilityVerdict("inconclusive", primes_tried=tried)
 
@@ -217,7 +239,8 @@ def _monic_int_coeffs(poly):
 
 
 def _integer_roots(coeffs):
-    """Search small integer roots; on success return (factor degrees, #linear)."""
+    """Search small integer roots; on success return the factor degrees
+    (one per root found, plus the degree of the cofactor)."""
     candidates = set(range(-100, 101))
     a0 = coeffs[-1]
     if a0 == 0:
@@ -231,17 +254,16 @@ def _integer_roots(coeffs):
                 candidates.update((f, -f, m // f, -(m // f)))
             f += 1
     work = list(coeffs)
-    n_linear = 0
+    degrees = []
     for r in sorted(candidates, key=abs):
         while len(work) > 1 and _eval_int(work, r) == 0:
             work = _deflate(work, r)
-            n_linear += 1
-    if n_linear == 0:
+            degrees.append(1)
+    if not degrees:
         return None
-    degrees = [1] * n_linear
     if len(work) > 1:
         degrees.append(len(work) - 1)
-    return tuple(sorted(degrees)), n_linear
+    return tuple(sorted(degrees))
 
 
 def _eval_int(coeffs, x):
@@ -258,37 +280,46 @@ def _deflate(coeffs, r):
     return out
 
 
-def _prime_stream():
-    yield 2
-    found = [2]
-    n = 3
-    while True:
-        if all(n % p for p in found if p * p <= n):
-            found.append(n)
-            yield n
-        n += 2
+# --- polynomials mod q ----------------------------------------------------
+#
+# Ascending coefficient lists over the integers mod q, trimmed of zero
+# leading terms ([] is the zero polynomial); moduli f are monic.
 
 
-def _irreducible_mod_q(f, q):
-    """True iff the monic polynomial f (ascending coefficients) is
-    irreducible over the q-element field: no irreducible factor of degree
-    <= deg(f)/2 survives gcd(x^(q^i) - x, f) for i = 1..deg(f)//2."""
+def _factor_degrees_mod_q(f, q):
+    """Degrees of the irreducible factors of the monic f mod q, ascending,
+    by distinct-degree factorization; None when f is not squarefree mod q.
+
+    Step i takes h = x^(q^i) mod f to x^(q^(i+1)) by one product with the
+    Frobenius matrix (rows x^(q*j) mod f, built from a single x^q), and
+    gcd(h - x, rest) collects the factors of degree i.
+    """
     d = len(f) - 1
-    x = [0, 1]
-    b = x
-    for _ in range(d // 2):
-        b = _pm_pow(b, q, f, q)
-        g = _pm_gcd([(u - v) % q for u, v in _zip_pad(b, x)], f, q)
+    if len(_pm_gcd(_pm_trim([i * c % q for i, c in enumerate(f)][1:]), f, q)) > 1:
+        return None
+    xq = _pm_xpow(q, f, q)
+    row = [1]
+    rows = []
+    for _ in range(d):
+        rows.append(row + [0] * (d - len(row)))
+        row = _pm_mulmod(row, xq, f, q)
+    frobenius = list(zip(*rows))  # column t holds coefficient t of each row
+    h = [0, 1]
+    rest = f
+    degrees = []
+    i = 0
+    while 2 * (i + 1) <= len(rest) - 1:
+        i += 1
+        h = [sum(map(mul, h, col)) % q for col in frobenius]
+        h_minus_x = list(h)
+        h_minus_x[1] = (h_minus_x[1] - 1) % q
+        g = _pm_gcd(_pm_trim(h_minus_x), rest, q)
         if len(g) > 1:
-            return False
-    return True
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return zip(a, b)
+            degrees += [i] * ((len(g) - 1) // i)
+            rest = _pm_quo(rest, g, q)
+    if len(rest) > 1:
+        degrees.append(len(rest) - 1)
+    return tuple(degrees)
 
 
 def _pm_trim(a):
@@ -298,18 +329,31 @@ def _pm_trim(a):
 
 
 def _pm_rem(a, f, q):
-    """a mod f with f monic, coefficients mod q."""
+    """a mod f, reduced mod q; a may hold unreduced integers."""
     a = list(a)
     df = len(f) - 1
     for i in range(len(a) - 1, df - 1, -1):
-        c = a[i]
+        c = a[i] % q
         if c:
-            a[i] = 0
             off = i - df
             for j in range(df):
-                a[off + j] = (a[off + j] - c * f[j]) % q
-    del a[df:]
-    return _pm_trim(a)
+                a[off + j] -= c * f[j]
+    return _pm_trim([c % q for c in a[:df]])
+
+
+def _pm_quo(a, b, q):
+    """Quotient of a by the monic b, coefficients mod q."""
+    a = list(a)
+    db = len(b) - 1
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] % q
+        if c:
+            off = i - db
+            quo[off] = c
+            for j in range(db):
+                a[off + j] -= c * b[j]
+    return quo
 
 
 def _pm_mulmod(a, b, f, q):
@@ -319,24 +363,22 @@ def _pm_mulmod(a, b, f, q):
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % q
+                out[i + j] += ai * bj
     return _pm_rem(out, f, q)
 
 
-def _pm_pow(base, e, f, q):
+def _pm_xpow(e, f, q):
+    """x^e mod f, left to right: square, and multiply by x as a shift."""
     result = [1]
-    b = _pm_rem(base, f, q)
-    while e:
-        if e & 1:
-            result = _pm_mulmod(result, b, f, q)
-        e >>= 1
-        if e:
-            b = _pm_mulmod(b, b, f, q)
+    for bit in bin(e)[2:]:
+        result = _pm_mulmod(result, result, f, q)
+        if bit == "1":
+            result = _pm_rem([0] + result, f, q)
     return result
 
 
 def _pm_gcd(a, b, q):
+    """Monic gcd of a and b mod q (b nonzero)."""
     a = _pm_trim(list(a))
     b = _pm_trim(list(b))
     while b:

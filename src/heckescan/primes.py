@@ -104,22 +104,27 @@ def primorial_row(k, table):
 # and descending the tree of the first failing segment on a shrinking
 # remainder finds the leftmost non-divisor.
 #
+# Odd N are settled by one word-size mod.  For even N one mod by the
+# cached P_63 = p_1 * ... * p_63 (the first _SMALL_SEGMENTS segments)
+# leaves a small remainder, and the search over those segments runs on it, since
+# each segment product divides P_63.
+#
 # If the answer is p, every prime below p divides N, so theta(p-) <= log N
-# (the paper's bound).  The search uses this once the first _JUMP_AFTER
-# segments (p_1 .. p_15) all divide N: a float estimate of log N picks J
-# with p_1 * ... * p_J just at or below N, and one exact division by that
-# primorial P_J, whose quotient is tiny, settles all of p_1 .. p_J at
-# once.  The estimate only chooses where to look; every verdict is an
-# exact divisibility test.  Costs, with |N| the size of N:
-#   - typical N: one small mod (the first segment already fails);
+# (the paper's bound).  The search uses this once P_63 divides N: a float
+# estimate of log N picks J with p_1 * ... * p_J just at or below N, and
+# one exact division by that primorial P_J, whose quotient is tiny,
+# settles all of p_1 .. p_J at once.  The estimate only chooses where to
+# look; every verdict is an exact divisibility test.  Costs, with |N| the
+# size of N:
+#   - N missing a prime below p_64: one mod of N by a word or by P_63;
 #   - N divisible by every prime up to the theta bound: building P_J from
 #     cached segment products (one product of size |N|), one near-linear
 #     division and a few small mods on the quotient;
 #   - any other N: the segment search, one mod of N per segment, which is
 #     quadratic in |N| with pure Python integers (subquadratic with GMP).
-#     If p_1 .. p_15 divide N it first pays for building P_J in vain.
+#     Such an N also pays for building P_J in vain.
 
-_JUMP_AFTER = 4
+_SMALL_SEGMENTS = 6
 
 
 class _SegmentTree:
@@ -185,18 +190,38 @@ _seg_prime_pool: list[int] = []
 _seg_pool_limit = 0
 
 
+def _grow_pool(count):
+    # Caller holds _seg_lock.  The pool only ever grows to a longer list of
+    # the first primes, so a reader holding it sees the same prefix.
+    global _seg_pool_limit
+    while len(_seg_prime_pool) < count:
+        _seg_pool_limit = max(1024, _seg_pool_limit * 2)
+        flags = _sieve_flags(_seg_pool_limit)
+        _seg_prime_pool[:] = [p for p in range(2, _seg_pool_limit + 1) if flags[p]]
+
+
+def primes_above(n):
+    """Yield every prime p > n in increasing order, drawn from the sieved
+    pool that the segment trees share (no theta sums, no products)."""
+    i = 0
+    while True:
+        if i >= len(_seg_prime_pool):
+            with _seg_lock:
+                _grow_pool(i + 1)
+        p = _seg_prime_pool[i]
+        if p > n:
+            yield p
+        i += 1
+
+
 def _segment(i):
     if i < len(_segments):
         return _segments[i]
     with _seg_lock:
-        global _seg_pool_limit
         while i >= len(_segments):
             size = 1 << len(_segments)
             start = size - 1
-            while len(_seg_prime_pool) < start + size:
-                _seg_pool_limit = max(1024, _seg_pool_limit * 2)
-                flags = _sieve_flags(_seg_pool_limit)
-                _seg_prime_pool[:] = [p for p in range(2, _seg_pool_limit + 1) if flags[p]]
+            _grow_pool(start + size)
             if _segments:
                 prev = _segments[-1]
                 below, log_below = prev.below * prev.product, prev.log_prefix[-1]
@@ -255,14 +280,23 @@ def smallest_nondivisor_prime(n):
     if n < 1:
         raise ValueError("n must be a positive integer")
     nz = _mpz(n)
-    i = 0
+    if nz % 2:
+        return 2
+    r = nz % _segment(_SMALL_SEGMENTS).below
+    if r:
+        return _segment_search(r, 1)
+    p = _theta_jump(nz)
+    if p is not None:
+        return p
+    return _segment_search(nz, _SMALL_SEGMENTS)
+
+
+def _segment_search(r, i):
+    """First non-divisor of r from segment i on, given that r is divisible
+    by every prime before segment i and is not divisible by some prime."""
     while True:
-        if i == _JUMP_AFTER:
-            p = _theta_jump(nz)
-            if p is not None:
-                return p
         seg = _segment(i)
-        r = nz % seg.product
-        if r:
-            return seg.first_nondivisor(r)
+        rem = r % seg.product
+        if rem:
+            return seg.first_nondivisor(rem)
         i += 1

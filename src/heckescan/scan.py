@@ -3,7 +3,9 @@ in a range, with crash-tolerant line-append persistence, resume, optional
 parallel workers, and duplicate detection on the resulting pairs.
 
 Record file format: one record per line, "k<TAB>dim<TAB>trace", the trace
-in base 10 with an optional leading minus, plain text, no padding.
+in base 10 with an optional leading minus, plain text, no padding.  Every
+record ends with its newline; a final line without one is a write cut
+short by a crash, never a record.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ def record_line(rec):
 
 
 def parse_record_line(line, path="<memory>", line_no=0):
-    parts = line.rstrip("\n").split("\t")
+    if not line.endswith("\n"):
+        raise RecordFileError(path, line_no, f"torn record without its newline: {line[:40]!r}")
+    parts = line[:-1].split("\t")
     if len(parts) != 3:
         raise RecordFileError(path, line_no, f"expected 3 tab-separated fields, got {len(parts)}")
     try:
@@ -80,6 +84,23 @@ def load_records(path):
                 raise RecordFileError(path, line_no, f"duplicate weight {rec.k}")
             by_k[rec.k] = rec
     return sorted(by_k.values(), key=lambda r: r.k)
+
+
+def drop_torn_tail(path):
+    """Truncate the file after its last newline.  Returns the text cut off
+    (a record torn by a crash mid-write), or None when the file already
+    ends with a complete record or is empty."""
+    with open(path, "rb+") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            return None
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) == b"\n":
+            return None
+        fh.seek(0)
+        data = fh.read()
+        keep = data.rfind(b"\n") + 1
+        fh.truncate(keep)
+    return data[keep:].decode("ascii", "replace")
 
 
 def save_records(records, path):
@@ -115,6 +136,7 @@ class ScanReport:
     computed: int
     resumed: int
     elapsed_seconds: float
+    torn_tail: str | None
 
     @property
     def records_count(self):
@@ -135,8 +157,11 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False, serial_abo
 
     Records are appended to output_path as they complete (flushed per
     line, so an interrupted scan loses at most the record in flight).
-    With resume, weights already present in the file are kept, not
-    recomputed; stored dimensions are re-checked against the formula.
+    A torn last line (no newline) is cut off before anything is appended
+    to the file, and the report carries the cut text.  With resume,
+    weights already present in the file are kept, not recomputed (a torn
+    one is recomputed); stored dimensions are re-checked against the
+    formula.
     Weights above serial_above are run in-process before the worker pool
     starts, largest first, to cap peak memory.  The report covers exactly
     the requested range, sorted by weight, with duplicate detection on
@@ -148,14 +173,17 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False, serial_abo
         raise ValueError("workers must be positive")
     evens = [k for k in range(k_min, k_max + 1) if k % 2 == 0]
     existing = {}
-    if resume and output_path and os.path.exists(output_path):
-        for rec in load_records(output_path):
-            if rec.dim != dim_cusp(rec.k):
-                raise ValueError(
-                    f"{output_path}: stored dim {rec.dim} for weight {rec.k} "
-                    f"contradicts the dimension formula ({dim_cusp(rec.k)})"
-                )
-            existing[rec.k] = rec
+    torn_tail = None
+    if output_path and os.path.exists(output_path):
+        torn_tail = drop_torn_tail(output_path)
+        if resume:
+            for rec in load_records(output_path):
+                if rec.dim != dim_cusp(rec.k):
+                    raise ValueError(
+                        f"{output_path}: stored dim {rec.dim} for weight {rec.k} "
+                        f"contradicts the dimension formula ({dim_cusp(rec.k)})"
+                    )
+                existing[rec.k] = rec
     todo = sorted((k for k in evens if k not in existing), reverse=True)
     serial = [k for k in todo if serial_above is not None and k > serial_above]
     pooled = [k for k in todo if not (serial_above is not None and k > serial_above)]
@@ -183,7 +211,8 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False, serial_abo
     final.sort(key=lambda r: r.k)
     resumed = len(evens) - len(todo)
     return ScanReport(
-        k_min, k_max, tuple(final), detect_duplicates(final), len(computed), resumed, elapsed
+        k_min, k_max, tuple(final), detect_duplicates(final), len(computed), resumed, elapsed,
+        torn_tail,
     )
 
 

@@ -184,3 +184,14 @@ def test_help_exits_0(capsys):
 def test_version_exits_0(capsys):
     assert dispatch(["--version"]) == 0
     assert "heckescan" in capsys.readouterr().out
+
+
+def test_scan_resume_reports_a_torn_tail(tmp_path, capsys):
+    out = tmp_path / "scan.tsv"
+    out.write_text("12\t1\t-24\n16\t1\t21")
+    assert dispatch(["scan", "--min", "12", "--max", "16", "--out", str(out), "--resume", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert "torn last record '16\\t1\\t21'" in captured.err
+    data = json.loads(captured.out)
+    assert (data["resumed"], data["computed"]) == (1, 2)
+    assert out.read_text() == "12\t1\t-24\n16\t1\t216\n14\t0\t0\n"

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +13,7 @@ from heckescan.hecke import (
     t2_coefficient,
     t2_matrix,
     trace_t2,
-    _irreducible_mod_q,
+    _factor_degrees_mod_q,
 )
 from heckescan.modforms import delta, miller_basis
 
@@ -182,6 +184,61 @@ def test_products_with_roots_never_certified_irreducible():
         assert v.kind != "irreducible", (r, a, b, v)
 
 
+def _int_poly_mul(a, b):
+    """Product of two descending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _no_rational_root(f):
+    """True iff the monic integer f (descending, nonzero constant term) has
+    no rational root; monic, so any rational root is a divisor of f(0)."""
+    c = abs(f[-1])
+    divisors = [t for t in range(1, c + 1) if c % t == 0]
+    return all(_eval_desc(f, s * t) != 0 for t in divisors for s in (1, -1))
+
+
+def _eval_desc(f, x):
+    v = 0
+    for c in f:
+        v = v * x + c
+    return v
+
+
+def test_products_without_rational_roots_never_certified_irreducible():
+    # Each factor has degree 2 or 3 and no rational root, so the product is
+    # reducible over Q, yet the root search finds nothing: the degree sets
+    # must never empty and the honest verdict is inconclusive.
+    rng = random.Random(59)
+    cases = [[1, 1, 2, 1, 1]]  # (x^2 + 1)(x^2 + x + 1)
+    while len(cases) < 25:
+        poly = [1]
+        for _ in range(rng.randint(2, 3)):
+            while True:
+                factor = [1] + [rng.randint(-6, 6) for _ in range(rng.randint(2, 3))]
+                if factor[-1] != 0 and _no_rational_root(factor):
+                    break
+            poly = _int_poly_mul(poly, factor)
+        cases.append(poly)
+    for poly in cases:
+        assert check_irreducible(poly, prime_budget=40).kind == "inconclusive", poly
+        as_charpoly = check_irreducible(CharPoly(60, tuple(poly)), prime_budget=40)
+        assert as_charpoly.kind == "inconclusive", poly
+        assert as_charpoly.primes_tried == 40
+
+
+def test_reducible_mod_every_prime_stays_inconclusive():
+    # x^4 - 10x^2 + 1 (minimal polynomial of sqrt2 + sqrt3) is irreducible
+    # over Q but splits mod every prime into factors of degree <= 2, so
+    # degree 2 survives every degree set: no certificate, no false claim.
+    v = check_irreducible([1, 0, -10, 0, 1], prime_budget=60)
+    assert v.kind == "inconclusive"
+    assert v.primes_tried == 60
+
+
 def test_perfect_square_is_inconclusive_not_irreducible():
     # (x^2 + 1)^2 has no rational root and no irreducible reduction mod
     # any prime, so the honest verdict under a finite budget is inconclusive
@@ -200,44 +257,136 @@ def test_nonmonic_rejected():
         check_irreducible([2, 0, -1])
 
 
-def brute_force_reducible_mod_q(f, q):
-    """Try all monic factor pairs of small degree; complete for deg <= 4."""
-    d = len(f) - 1
+def _pq_mul(a, b, q):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % q
+    return out
 
-    def polys(deg):
-        if deg == 0:
-            yield [1]
-            return
+
+def _pq_divmod(a, b, q):
+    """(quotient, remainder) of a by the monic b; ascending lists mod q."""
+    a = list(a)
+    db = len(b) - 1
+    quo = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        quo[i - db] = c
+        for j in range(db + 1):
+            a[i - db + j] = (a[i - db + j] - c * b[j]) % q
+    return quo, a[:db]
+
+
+def brute_force_factors_mod_q(f, q):
+    """Monic irreducible factors of the monic f mod q, with multiplicity,
+    by trial division with every monic polynomial of degree 1, 2, ...: a
+    divisor of least degree is irreducible.  Complete for deg <= 4."""
+
+    def monics(deg):
         for tail in range(q**deg):
             cs = []
-            t = tail
             for _ in range(deg):
-                cs.append(t % q)
-                t //= q
+                cs.append(tail % q)
+                tail //= q
             yield cs + [1]
 
-    def mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-        return out
+    factors = []
+    rest = list(f)
+    deg = 1
+    while len(rest) - 1 >= 2 * deg:
+        for g in monics(deg):
+            while len(rest) > len(g):
+                quo, rem = _pq_divmod(rest, g, q)
+                if any(rem):
+                    break
+                factors.append(tuple(g))
+                rest = quo
+        deg += 1
+    if len(rest) > 1:
+        factors.append(tuple(rest))
+    return factors
 
-    for da in range(1, d // 2 + 1):
-        for a in polys(da):
-            for b in polys(d - da):
-                if mul(a, b) == f:
-                    return True
-    return False
 
-
-def test_mod_q_irreducibility_against_brute_force():
+def test_factor_degrees_mod_q_against_brute_force():
     rng = random.Random(8)
     for q in (2, 3, 5):
-        for _ in range(60):
+        patterns = set()
+        for _ in range(80):
             d = rng.randint(2, 4)
             f = [rng.randrange(q) for _ in range(d)] + [1]
-            assert _irreducible_mod_q(f, q) == (not brute_force_reducible_mod_q(f, q)), (f, q)
+            factors = brute_force_factors_mod_q(f, q)
+            assert math.prod(len(g) - 1 for g in factors) >= 1
+            assert sum(len(g) - 1 for g in factors) == d
+            if len(set(factors)) < len(factors):
+                expected = None
+            else:
+                expected = tuple(sorted(len(g) - 1 for g in factors))
+            assert _factor_degrees_mod_q(f, q) == expected, (f, q, factors)
+            patterns.add(expected)
+        # every squarefree shape of degree <= 4 shows up, and repeats too
+        assert None in patterns and (4,) in patterns and (1, 3) in patterns, (q, patterns)
+
+
+def _pq_powmod(base, e, f, q):
+    result = [1]
+    while e:
+        if e & 1:
+            result = _pq_divmod(_pq_mul(result, base, q), f, q)[1]
+        base = _pq_divmod(_pq_mul(base, base, q), f, q)[1]
+        e >>= 1
+    return result
+
+
+def _pq_gcd_degree(a, b, q):
+    a, b = list(a), list(b)
+    while any(b):
+        while b[-1] == 0:
+            b.pop()
+        inv = pow(b[-1], -1, q)
+        b = [c * inv % q for c in b]
+        a, b = b, _pq_divmod(a, b, q)[1] if len(a) >= len(b) else a
+    while a and a[-1] == 0:
+        a.pop()
+    return len(a) - 1
+
+
+def _irreducible_mod_q_oracle(f, q):
+    """The single-witness test, rebuilt from plain arithmetic: f is
+    irreducible mod q iff gcd(x^(q^i) - x, f) = 1 for i = 1..deg/2."""
+    d = len(f) - 1
+    h = [0, 1]
+    for _ in range(d // 2):
+        h = _pq_powmod(h, q, f, q)
+        diff = list(h) + [0] * (2 - len(h))
+        diff[1] = (diff[1] - 1) % q
+        if _pq_gcd_degree(f, diff, q) > 0:
+            return False
+    return True
+
+
+def test_verdicts_agree_with_single_witness_route_to_160():
+    for k in range(12, 161, 2):
+        poly = charpoly_t2(k)
+        d = poly.degree
+        if d < 2:
+            continue
+        asc = poly.coeffs[::-1]
+        # the single-witness route: the first of 25 * d primes from 2 whose
+        # reduction is irreducible
+        primes = (p for p in itertools.count(2) if all(p % t for t in range(2, math.isqrt(p) + 1)))
+        witness = next(
+            (q for q in itertools.islice(primes, 25 * d) if _irreducible_mod_q_oracle([c % q for c in asc], q)),
+            None,
+        )
+        v = check_irreducible(poly)
+        assert witness is not None and v.kind == "irreducible", (k, witness, v)
+        assert v.witness_prime > k
+        # at the prime that closed the certificate, the factorization
+        # agrees with the witness test on whether the reduction is whole
+        w = v.witness_prime
+        fw = [c % w for c in asc]
+        assert (_factor_degrees_mod_q(fw, w) == (d,)) == _irreducible_mod_q_oracle(fw, w), k
 
 
 # --- eigenforms and distinguishing ---------------------------------------

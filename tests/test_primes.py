@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 from heckescan.primes import (
+    primes_above,
     primorial_row,
     sieve,
     smallest_nondivisor_prime,
@@ -179,10 +180,10 @@ def test_smallest_nondivisor_pure_int_fallback(monkeypatch, table_10k):
     assert smallest_nondivisor_prime(210) == 11
     assert smallest_nondivisor_prime(2 * 3 * 5 * 7 * 11 * 13) == 17
     assert smallest_nondivisor_prime(2**200) == 3
-    # p_1 * ... * p_40 passes the first segments and takes the theta jump
+    # p_1 * ... * p_70 passes the first segments and takes the theta jump
     ps = table_10k.primes
-    assert pr._theta_jump(math.prod(ps[:40])) == ps[40]
-    assert smallest_nondivisor_prime(math.prod(ps[:40])) == ps[40]
+    assert pr._theta_jump(math.prod(ps[:70])) == ps[70]
+    assert smallest_nondivisor_prime(math.prod(ps[:70])) == ps[70]
     assert all(type(seg.below) is int and type(seg.product) is int for seg in pr._segments)
 
 
@@ -262,6 +263,40 @@ def test_theta_jump_just_below_next_primorial(monkeypatch, table_10k):
         assert smallest_nondivisor_prime(n) == _oracle(n, ps) == ps[j]
 
 
+def test_primes_above_matches_trial_division(monkeypatch):
+    import itertools
+
+    import heckescan.primes as pr
+
+    monkeypatch.setattr(pr, "_seg_prime_pool", [])
+    monkeypatch.setattr(pr, "_seg_pool_limit", 0)
+    assert list(itertools.islice(primes_above(1), 6)) == [2, 3, 5, 7, 11, 13]
+    assert list(itertools.islice(primes_above(24), 3)) == [29, 31, 37]
+    # runs past the first 1024-wide sieve pool, which must grow
+    got = list(itertools.islice(primes_above(1000), 300))
+    assert got == [n for n in range(1001, got[-1] + 1) if is_prime_trial(n)]
+    assert pr._seg_pool_limit > 1024
+
+
+def test_small_segments_answer_before_the_theta_jump(monkeypatch, table_10k):
+    import heckescan.primes as pr
+
+    ps = table_10k.primes
+    jumps = []
+    jump = pr._theta_jump
+    monkeypatch.setattr(pr, "_theta_jump", lambda nz: jumps.append(nz) or jump(nz))
+    # divisible by p_1 .. p_15 but nowhere near a primorial: a plain mod by
+    # the next small segment answers, no P_J is built
+    n = math.prod(ps[:15]) * 3**100000
+    assert smallest_nondivisor_prime(n) == _oracle(n, ps) == ps[15]
+    n = math.prod(ps[:40]) * 7**5000
+    assert smallest_nondivisor_prime(n) == _oracle(n, ps) == ps[40]
+    assert jumps == []
+    # past p_63 the jump is taken
+    assert smallest_nondivisor_prime(math.prod(ps[:70])) == ps[70]
+    assert len(jumps) == 1
+
+
 def test_smallest_nondivisor_threads_share_fresh_caches(monkeypatch, table_10k):
     import sys
     import threading
@@ -294,3 +329,42 @@ def test_smallest_nondivisor_threads_share_fresh_caches(monkeypatch, table_10k):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_primes_above_threads_share_a_growing_pool(monkeypatch, table_10k):
+    import itertools
+    import sys
+    import threading
+
+    import heckescan.primes as pr
+
+    # Readers walk the pool while others grow it (and build segments from
+    # it); every reader must see the same increasing run of primes.
+    monkeypatch.setattr(pr, "_segments", [])
+    monkeypatch.setattr(pr, "_seg_prime_pool", [])
+    monkeypatch.setattr(pr, "_seg_pool_limit", 0)
+    ps = table_10k.primes
+    expected = [p for p in ps if p > 500][:600]
+    wrong = []
+
+    def read():
+        if list(itertools.islice(primes_above(500), 600)) != expected:
+            wrong.append("primes_above")
+
+    def search():
+        if smallest_nondivisor_prime(math.prod(ps[:900])) != ps[900]:
+            wrong.append("nondivisor")
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=f) for f in (read, search) * 3]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+

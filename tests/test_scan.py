@@ -7,7 +7,10 @@ from heckescan.scan import (
     WeightRecord,
     compute_record,
     detect_duplicates,
+    drop_torn_tail,
     load_records,
+    parse_record_line,
+    record_line,
     run_scan,
     save_records,
 )
@@ -142,6 +145,56 @@ def test_resume_rejects_corrupted_file(tmp_path):
     with pytest.raises(RecordFileError) as err:
         run_scan(2, 30, workers=1, output_path=out, resume=True)
     assert err.value.line_no == 2
+
+
+def test_parse_rejects_a_record_without_its_newline():
+    assert parse_record_line("62\t4\t1146312000\n") == WeightRecord(62, 4, 1146312000)
+    with pytest.raises(RecordFileError, match="torn"):
+        parse_record_line("62\t4\t1146312", "r.tsv", 7)
+
+
+def test_drop_torn_tail_keeps_complete_files(tmp_path):
+    path = tmp_path / "r.tsv"
+    for text in ("", "12\t1\t-24\n", "12\t1\t-24\n14\t0\t0\n"):
+        path.write_text(text)
+        assert drop_torn_tail(path) is None
+        assert path.read_text() == text
+    path.write_text("1246")
+    assert drop_torn_tail(path) == "1246"
+    assert path.read_text() == ""
+
+
+def test_resume_recovers_a_record_torn_at_every_offset(tmp_path):
+    # A crash mid-write leaves a prefix of the last record.  Every prefix
+    # must be refused by load_records, cut off on resume, and its weight
+    # recomputed, so the file ends up exactly as an uninterrupted scan.
+    clean = run_scan(12, 62, workers=1)
+    head = "".join(record_line(r) for r in clean.records if r.k != 62)
+    last = record_line(clean.records[-1])
+    assert last == "62\t4\t1146312000\n"
+    path = tmp_path / "torn.tsv"
+    for cut in range(len(last) + 1):
+        path.write_text(head + last[:cut])
+        torn = last[:cut] if 0 < cut < len(last) else None
+        if torn:
+            with pytest.raises(RecordFileError, match="torn"):
+                load_records(path)
+        report = run_scan(12, 62, workers=1, output_path=path, resume=True)
+        assert report.torn_tail == torn, cut
+        assert report.records == clean.records, cut
+        assert report.computed == (0 if cut == len(last) else 1), cut
+        assert load_records(path) == list(clean.records), cut
+        assert path.read_text().endswith("\n")
+
+
+def test_appending_scan_cuts_a_torn_tail_first(tmp_path):
+    # without resume the new records are still appended; they must not
+    # join onto a torn line
+    path = tmp_path / "torn.tsv"
+    path.write_text("12\t1\t-24\n16\t1\t21")
+    report = run_scan(18, 20, workers=1, output_path=path)
+    assert report.torn_tail == "16\t1\t21"
+    assert [r.k for r in load_records(path)] == [12, 18, 20]
 
 
 def test_resume_rejects_contradictory_dimension(tmp_path):
