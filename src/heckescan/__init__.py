@@ -1,7 +1,7 @@
 """Exact q-expansion arithmetic, T2 Hecke traces for level-1 cusp forms,
 weight-range duplicate scanning, and prime-counting bound verification."""
 
-from .series import IntSeries, RatSeries, series_linear, series_mul, series_pow
+from .series import IntSeries, series_mul, series_pow
 from .modforms import (
     MillerBasis,
     bernoulli,

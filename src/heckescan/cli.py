@@ -2,10 +2,13 @@
 
 Exit codes: 0 success, 1 a verification failed (violated inequality,
 duplicate pair, missing difference, uncertified irreducibility),
-2 usage or input errors.  All numeric output uses a plain decimal point
-and no grouping, regardless of locale.  Every subcommand accepts --json
-for a machine-readable line mirroring the underlying record fields; big
-integers are emitted as decimal strings there.
+2 usage or input errors, 3 an internal exactness check failed (a
+division that must be exact left a remainder, or a comparison stayed
+undecided at every precision tried), reported as one stderr line.  All
+numeric output uses a plain decimal point and no grouping, regardless of
+locale.  Every subcommand accepts --json for a machine-readable line
+mirroring the underlying record fields; big integers are emitted as
+decimal strings there.
 """
 
 from __future__ import annotations
@@ -76,6 +79,9 @@ def dispatch(argv):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: exactness check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 def _build_parser():
@@ -103,8 +109,6 @@ def _build_parser():
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--resume", action="store_true")
-    p.add_argument("--serial-above", type=int, default=None,
-                   help="run weights above this serially to cap memory")
     _add_json(p)
     p.set_defaults(func=_cmd_scan)
 
@@ -186,7 +190,6 @@ def _cmd_scan(args):
         workers=args.jobs,
         output_path=args.out,
         resume=args.resume,
-        serial_above=args.serial_above,
     )
     if report.torn_tail is not None:
         print(

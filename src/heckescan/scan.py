@@ -45,6 +45,9 @@ class RecordFileError(ValueError):
 
 
 def compute_record(k):
+    """The record of weight k: (dim, trace) of T2.  The scan's worker
+    processes call it too, so the record must pickle, as a frozen
+    dataclass does."""
     d, t = trace_t2(k)
     return WeightRecord(k, d, t)
 
@@ -147,25 +150,21 @@ class ScanReport:
         return self.elapsed_seconds / self.computed if self.computed else 0.0
 
 
-def _record_tuple(k):
-    d, t = trace_t2(k)
-    return (k, d, t)
-
-
-def run_scan(k_min, k_max, workers=1, output_path=None, resume=False, serial_above=None):
+def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
     """Compute records for every even weight in [k_min, k_max].
 
-    Records are appended to output_path as they complete (flushed per
-    line, so an interrupted scan loses at most the record in flight).
-    A torn last line (no newline) is cut off before anything is appended
-    to the file, and the report carries the cut text.  With resume,
-    weights already present in the file are kept, not recomputed (a torn
-    one is recomputed); stored dimensions are re-checked against the
-    formula.
-    Weights above serial_above are run in-process before the worker pool
-    starts, largest first, to cap peak memory.  The report covers exactly
-    the requested range, sorted by weight, with duplicate detection on
-    the (dim, trace) pairs.
+    Weights are started largest first, in this process when workers is 1
+    and in a pool of that many processes otherwise.  Records are appended
+    to output_path as they complete (flushed per line, so an interrupted
+    scan loses at most the records in flight).  A torn last line (no
+    newline) is cut off before anything is appended to the file, and the
+    report carries the cut text.  With resume, weights already present
+    in the file are kept, not recomputed (a torn one is recomputed).
+    Without resume, a file that already holds a weight of the range is
+    refused before anything is computed, so a scan never stores a weight
+    twice.  In both modes stored dimensions are re-checked against the
+    formula.  The report covers exactly the requested range, sorted by
+    weight, with duplicate detection on the (dim, trace) pairs.
     """
     if k_min > k_max:
         raise ValueError(f"empty weight range: {k_min} > {k_max}")
@@ -176,30 +175,31 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False, serial_abo
     torn_tail = None
     if output_path and os.path.exists(output_path):
         torn_tail = drop_torn_tail(output_path)
-        if resume:
-            for rec in load_records(output_path):
-                if rec.dim != dim_cusp(rec.k):
-                    raise ValueError(
-                        f"{output_path}: stored dim {rec.dim} for weight {rec.k} "
-                        f"contradicts the dimension formula ({dim_cusp(rec.k)})"
-                    )
+        for rec in load_records(output_path):
+            if rec.dim != dim_cusp(rec.k):
+                raise ValueError(
+                    f"{output_path}: stored dim {rec.dim} for weight {rec.k} "
+                    f"contradicts the dimension formula ({dim_cusp(rec.k)})"
+                )
+            if k_min <= rec.k <= k_max:
                 existing[rec.k] = rec
+        if existing and not resume:
+            raise ValueError(
+                f"{output_path} already holds weight {min(existing)} of {k_min}..{k_max}; "
+                "use --resume to keep its records, or write to a new file"
+            )
     todo = sorted((k for k in evens if k not in existing), reverse=True)
-    serial = [k for k in todo if serial_above is not None and k > serial_above]
-    pooled = [k for k in todo if not (serial_above is not None and k > serial_above)]
 
     computed = []
     out = open(output_path, "a", encoding="ascii") if output_path else None
     t0 = time.monotonic()
     try:
-        for k in serial:
-            _emit(_record_tuple(k), computed, out)
-        if workers == 1 or len(pooled) <= 1:
-            for k in pooled:
-                _emit(_record_tuple(k), computed, out)
+        if workers == 1 or len(todo) <= 1:
+            for k in todo:
+                _emit(compute_record(k), computed, out)
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_record_tuple, k) for k in pooled]
+                futures = [pool.submit(compute_record, k) for k in todo]
                 for fut in as_completed(futures):
                     _emit(fut.result(), computed, out)
     finally:
@@ -207,7 +207,7 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False, serial_abo
             out.close()
     elapsed = time.monotonic() - t0
 
-    final = [r for r in existing.values() if k_min <= r.k <= k_max] + computed
+    final = list(existing.values()) + computed
     final.sort(key=lambda r: r.k)
     resumed = len(evens) - len(todo)
     return ScanReport(
@@ -216,8 +216,7 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False, serial_abo
     )
 
 
-def _emit(tup, computed, out):
-    rec = WeightRecord(*tup)
+def _emit(rec, computed, out):
     computed.append(rec)
     if out:
         out.write(record_line(rec))

@@ -1,4 +1,4 @@
-"""Exact truncated power series over big integers and rationals.
+"""Exact truncated power series over big integers.
 
 A series of precision P stores the coefficients of q^0 .. q^P inclusive
 and nothing beyond.  Every operation is exact; binary operations truncate
@@ -12,8 +12,6 @@ bit-for-bit identical and the test suite checks them against each other.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 try:
     from gmpy2 import mpz as _mpz
@@ -50,10 +48,6 @@ class IntSeries:
             raise ValueError("a series needs at least its q^0 coefficient")
         self.coeffs = tuple(cs)
         self.prec = len(cs) - 1
-
-    @classmethod
-    def zero(cls, prec):
-        return cls([0], prec=prec)
 
     @classmethod
     def one(cls, prec):
@@ -97,147 +91,22 @@ class IntSeries:
     def __pow__(self, e):
         return series_pow(self, e)
 
-    def scaled(self, c):
-        """c*f with an integer scalar, same precision."""
-        if not isinstance(c, int):
-            raise TypeError("integer scalar expected")
-        return IntSeries([c * a for a in self.coeffs])
-
-    def truncated(self, prec):
-        if prec > self.prec:
-            raise ValueError(f"cannot extend precision {self.prec} to {prec}")
-        return IntSeries(self.coeffs[: prec + 1])
-
-    def to_rational(self):
-        return RatSeries([Fraction(c) for c in self.coeffs])
-
-
-class RatSeries:
-    """Truncated q-expansion with exact rational coefficients.
-
-    Fractions keep themselves in lowest terms with positive denominator.
-    Immutable, like IntSeries.
-    """
-
-    __slots__ = ("coeffs", "prec")
-
-    def __init__(self, coeffs, prec=None):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, Fraction):
-                cs.append(c)
-            elif isinstance(c, int):
-                cs.append(Fraction(c))
-            else:
-                raise TypeError(f"exact rational expected, got {type(c).__name__}")
-        if prec is not None:
-            if prec < 0:
-                raise ValueError("precision must be nonnegative")
-            if len(cs) < prec + 1:
-                cs.extend([Fraction(0)] * (prec + 1 - len(cs)))
-            else:
-                del cs[prec + 1 :]
-        elif not cs:
-            raise ValueError("a series needs at least its q^0 coefficient")
-        self.coeffs = tuple(cs)
-        self.prec = len(cs) - 1
-
-    @classmethod
-    def zero(cls, prec):
-        return cls([Fraction(0)], prec=prec)
-
-    @classmethod
-    def one(cls, prec):
-        return cls([Fraction(1)], prec=prec)
-
-    def __getitem__(self, n):
-        if not 0 <= n <= self.prec:
-            raise IndexError(f"coefficient of q^{n} not stored (precision {self.prec})")
-        return self.coeffs[n]
-
-    def __eq__(self, other):
-        if isinstance(other, RatSeries):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        shown = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.prec >= 8 else ""
-        return f"RatSeries([{shown}{tail}], prec={self.prec})"
-
-    def __mul__(self, other):
-        if not isinstance(other, RatSeries):
-            return NotImplemented
-        return series_mul(self, other)
-
-    def __pow__(self, e):
-        return series_pow(self, e)
-
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_int_series(self):
-        """Exact conversion; fails unless every denominator is 1."""
-        if not self.is_integral():
-            bad = next(n for n, c in enumerate(self.coeffs) if c.denominator != 1)
-            raise ValueError(f"coefficient of q^{bad} is not an integer: {self.coeffs[bad]}")
-        return IntSeries([int(c) for c in self.coeffs])
-
-
-def series_linear(a, f, b, g):
-    """a*f + b*g truncated to the smaller operand precision.
-
-    Returns an IntSeries when both series and both scalars are integral,
-    otherwise a RatSeries.
-    """
-    for s in (f, g):
-        if not isinstance(s, (IntSeries, RatSeries)):
-            raise TypeError("series operands expected")
-    for c in (a, b):
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"exact scalar expected, got {type(c).__name__}")
-    int_result = (
-        isinstance(f, IntSeries)
-        and isinstance(g, IntSeries)
-        and isinstance(a, int)
-        and isinstance(b, int)
-    )
-    n = min(f.prec, g.prec)
-    if int_result:
-        return IntSeries([a * x + b * y for x, y in zip(f.coeffs[: n + 1], g.coeffs[: n + 1])])
-    a = Fraction(a)
-    b = Fraction(b)
-    return RatSeries([a * Fraction(x) + b * Fraction(y) for x, y in zip(f.coeffs[: n + 1], g.coeffs[: n + 1])])
-
 
 def series_mul(f, g):
-    """Cauchy product truncated to min(prec(f), prec(g)); both operands
-    must be the same kind of series."""
-    if isinstance(f, IntSeries) and isinstance(g, IntSeries):
-        n_out = min(f.prec, g.prec) + 1
-        return IntSeries(_int_convolve(f.coeffs, g.coeffs, n_out))
-    if isinstance(f, RatSeries) and isinstance(g, RatSeries):
-        n_out = min(f.prec, g.prec) + 1
-        out = [Fraction(0)] * n_out
-        for i, ci in enumerate(f.coeffs[:n_out]):
-            if ci:
-                for j, cj in enumerate(g.coeffs[: n_out - i]):
-                    if cj:
-                        out[i + j] += ci * cj
-        return RatSeries(out)
-    raise TypeError("series_mul needs two series of the same kind")
+    """Cauchy product truncated to min(prec(f), prec(g))."""
+    if not (isinstance(f, IntSeries) and isinstance(g, IntSeries)):
+        raise TypeError("series_mul needs two IntSeries")
+    n_out = min(f.prec, g.prec) + 1
+    return IntSeries(_int_convolve(f.coeffs, g.coeffs, n_out))
 
 
 def series_pow(f, e):
     """f**e at the precision of f, by repeated squaring; f**0 == 1."""
     if not isinstance(e, int) or e < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    if not isinstance(f, (IntSeries, RatSeries)):
-        raise TypeError("series operand expected")
-    result = type(f).one(f.prec)
+    if not isinstance(f, IntSeries):
+        raise TypeError("IntSeries operand expected")
+    result = IntSeries.one(f.prec)
     base = f
     while e:
         if e & 1:

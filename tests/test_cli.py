@@ -195,3 +195,31 @@ def test_scan_resume_reports_a_torn_tail(tmp_path, capsys):
     data = json.loads(captured.out)
     assert (data["resumed"], data["computed"]) == (1, 2)
     assert out.read_text() == "12\t1\t-24\n16\t1\t216\n14\t0\t0\n"
+
+
+def test_scan_twice_without_resume_exits_2(tmp_path, capsys):
+    out = tmp_path / "f.tsv"
+    argv = ["scan", "--min", "12", "--max", "16", "--out", str(out)]
+    assert dispatch(argv) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert dispatch(argv) == 2
+    assert "--resume" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert dispatch(argv + ["--resume"]) == 0
+    assert out.read_bytes() == before
+
+
+def test_exactness_failure_exits_3_without_traceback(monkeypatch, capsys):
+    import heckescan.cli
+
+    def broken(k):
+        raise ArithmeticError("characteristic polynomial trace not divisible by 2")
+
+    monkeypatch.setattr(heckescan.cli, "charpoly_t2", broken)
+    assert dispatch(["charpoly", "--weight", "24"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: exactness check failed: characteristic polynomial trace not divisible by 2\n"
+    )

@@ -110,12 +110,6 @@ def test_scan_determinism_across_worker_counts(tmp_path):
     assert r1.records == r2.records
 
 
-def test_scan_serial_above_produces_same_records(tmp_path):
-    r1 = run_scan(2, 40, workers=2, serial_above=30, output_path=tmp_path / "c.tsv")
-    r2 = run_scan(2, 40, workers=1, output_path=tmp_path / "d.tsv")
-    assert r1.records == r2.records
-
-
 def test_resume_skips_existing(tmp_path):
     out = tmp_path / "resume.tsv"
     first = run_scan(2, 20, workers=1, output_path=out)
@@ -195,6 +189,22 @@ def test_appending_scan_cuts_a_torn_tail_first(tmp_path):
     report = run_scan(18, 20, workers=1, output_path=path)
     assert report.torn_tail == "16\t1\t21"
     assert [r.k for r in load_records(path)] == [12, 18, 20]
+
+
+def test_scan_refuses_to_store_a_weight_twice(tmp_path):
+    # a second scan without resume over weights the file already holds
+    # must stop before computing or appending anything
+    path = tmp_path / "twice.tsv"
+    first = run_scan(12, 16, workers=1, output_path=path)
+    before = path.read_bytes()
+    for k_min, k_max, workers in ((12, 16, 1), (16, 30, 2), (2, 12, 1)):
+        with pytest.raises(ValueError, match="--resume"):
+            run_scan(k_min, k_max, workers=workers, output_path=path)
+        assert path.read_bytes() == before
+    assert load_records(path) == list(first.records)
+    again = run_scan(12, 16, workers=1, output_path=path, resume=True)
+    assert (again.resumed, again.computed) == (3, 0)
+    assert path.read_bytes() == before
 
 
 def test_resume_rejects_contradictory_dimension(tmp_path):

@@ -1,14 +1,11 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from heckescan.series import (
     IntSeries,
-    RatSeries,
     _convolve_kronecker,
     _convolve_schoolbook,
-    series_linear,
     series_mul,
     series_pow,
 )
@@ -26,25 +23,27 @@ def conv_reference(a, b, n_out):
 
 def test_linear_identity():
     f = IntSeries([3, 1, 4, 1, 5])
-    g = IntSeries([2, 7, 1])
-    assert series_linear(1, f, 0, g) == IntSeries([3, 1, 4])
+    zero = IntSeries([0, 0, 0])
+    assert f + zero == IntSeries([3, 1, 4])
+    assert zero + f == IntSeries([3, 1, 4])
+    assert f - zero == IntSeries([3, 1, 4])
 
 
 def test_linear_cancellation():
     f = IntSeries([9, -2, 6, 0, 4])
-    assert series_linear(1, f, -1, f) == IntSeries.zero(4)
+    assert f - f == IntSeries([0], prec=4)
+    assert (f - IntSeries([9, -2])).prec == 1
 
 
 def test_linear_direct():
-    assert series_linear(2, IntSeries([1, 1, 1]), 3, IntSeries([0, 1, 0])) == IntSeries([2, 5, 2])
-
-
-def test_linear_rational_result():
-    f = IntSeries([1, 2])
-    g = IntSeries([0, 1])
-    r = series_linear(Fraction(1, 2), f, 1, g)
-    assert isinstance(r, RatSeries)
-    assert r.coeffs == (Fraction(1, 2), Fraction(2))
+    f = IntSeries([1, 1, 1])
+    g = IntSeries([0, 1, 0, 7])
+    assert f + g == IntSeries([1, 2, 1])
+    assert f - g == IntSeries([1, 0, 1])
+    assert g - f == IntSeries([-1, 0, -1])
+    assert f + g + g == IntSeries([1, 3, 1])
+    with pytest.raises(TypeError):
+        f - [0, 1, 0]
 
 
 def test_mul_telescoping():
@@ -71,7 +70,9 @@ def test_mul_truncates_to_min_precision():
 
 def test_mul_mixed_kinds_rejected():
     with pytest.raises(TypeError):
-        series_mul(IntSeries([1]), RatSeries([Fraction(1)]))
+        series_mul(IntSeries([1]), [1])
+    with pytest.raises(TypeError):
+        series_pow([1, 1], 2)
 
 
 def test_pow_zero_is_one():
@@ -121,9 +122,7 @@ def test_mul_commutative_associative_distributive():
         f, g, h = mk(), mk(), mk()
         assert series_mul(f, g) == series_mul(g, f)
         assert series_mul(series_mul(f, g), h) == series_mul(f, series_mul(g, h))
-        lhs = series_mul(f, series_linear(1, g, 1, h))
-        rhs = series_linear(1, series_mul(f, g), 1, series_mul(f, h))
-        assert lhs == rhs
+        assert series_mul(f, g + h) == series_mul(f, g) + series_mul(f, h)
 
 
 def test_kronecker_path_matches_schoolbook():
@@ -149,29 +148,6 @@ def test_large_series_mul_uses_exact_arithmetic():
     assert list(series_mul(f, g).coeffs) == conv_reference(a, b, 40)
 
 
-def test_rational_series_normalization():
-    r = RatSeries([Fraction(2, 4), Fraction(-6, 3)])
-    assert r.coeffs == (Fraction(1, 2), Fraction(-2))
-    assert all(c.denominator > 0 for c in r.coeffs)
-
-
-def test_rational_mul():
-    f = RatSeries([Fraction(1, 2), Fraction(1, 3)])
-    g = RatSeries([Fraction(2), Fraction(3)])
-    assert series_mul(f, g).coeffs == (Fraction(1), Fraction(2, 3) + Fraction(3, 2))
-
-
-def test_to_int_series_round_trip():
-    f = IntSeries([4, -1, 0, 3])
-    assert f.to_rational().to_int_series() == f
-
-
-def test_to_int_series_rejects_fractions():
-    r = RatSeries([Fraction(1), Fraction(1, 2)])
-    with pytest.raises(ValueError, match="q\\^1"):
-        r.to_int_series()
-
-
 def test_coefficient_access_beyond_precision_is_error():
     f = IntSeries([1, 2, 3])
     assert f[2] == 3
@@ -189,8 +165,6 @@ def test_explicit_precision_pads_and_truncates():
 def test_non_integer_coefficients_rejected():
     with pytest.raises(TypeError):
         IntSeries([1.5])
-    with pytest.raises(TypeError):
-        RatSeries([0.5])
 
 
 def test_kronecker_without_gmpy2(monkeypatch):
