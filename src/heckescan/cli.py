@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 a verification failed (violated inequality,
 duplicate pair, missing difference, uncertified irreducibility),
 2 usage or input errors, 3 an internal exactness check failed (a
 division that must be exact left a remainder, or a comparison stayed
-undecided at every precision tried), reported as one stderr line.  All
+undecided at every precision tried), reported as one stderr line.  A
+scan whose worker process dies (BrokenProcessPool) exits 2 with one
+stderr line: the records written before the death are complete, and
+`scan --resume` with the same range finishes it.  All
 numeric output uses a plain decimal point and no grouping, regardless of
 locale.  Every subcommand accepts --json for a machine-readable line
 mirroring the underlying record fields; big integers are emitted as
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import mpmath
 
@@ -76,6 +80,13 @@ def dispatch(argv):
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
+    except BrokenProcessPool as exc:
+        print(
+            f"error: a worker process died ({exc}); the records written are complete, "
+            "rerun with --resume to finish the range",
+            file=sys.stderr,
+        )
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -88,8 +99,10 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="heckescan",
         description="Exact T2 traces for level-1 cusp forms and prime-counting bound checks.",
+        # keeps the --version line whole at any terminal width
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action="version", version=f"heckescan {__version__}")
+    parser.add_argument("--version", action="version", version=_version_text())
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vmbasis", help="echelon basis of the weight-k cusp space")
@@ -151,6 +164,20 @@ def _build_parser():
     p.set_defaults(func=_cmd_theta_plot)
 
     return parser
+
+
+def _version_text():
+    """The version and the big-integer backends the numbers depend on."""
+    try:
+        import gmpy2
+    except ImportError:
+        series_backend = "no gmpy2"
+    else:
+        series_backend = f"gmpy2 {gmpy2.version()}"
+    return (
+        f"heckescan {__version__} (Python {sys.version.split()[0]}, {series_backend}, "
+        f"mpmath {mpmath.__version__} {mpmath.libmp.BACKEND} backend)"
+    )
 
 
 def _add_json(p):

@@ -13,7 +13,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import IntSeries, series_mul, series_pow
+from .series import IntSeries, series_inv, series_mul, series_pow
 
 _bern_cache: list[Fraction] = [Fraction(1)]
 _bern_lock = threading.Lock()
@@ -78,7 +78,12 @@ def delta(prec):
         raise ValueError("precision must be nonnegative")
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)
-    num = series_pow(e4, 3) - series_mul(e6, e6)
+    return _discriminant(series_pow(e4, 3), e6)
+
+
+def _discriminant(e4_cubed, e6):
+    """Delta = (E4^3 - E6^2) / 1728, the division checked to be exact."""
+    num = e4_cubed - series_mul(e6, e6)
     out = []
     for n, c in enumerate(num.coeffs):
         q, r = divmod(c, 1728)
@@ -129,9 +134,16 @@ def miller_basis(k, prec=None):
     """The unique echelon basis of the weight-k cusp space, each form
     computed through q^prec (default: twice the dimension).
 
-    The forms are built as Delta^j * E6^(2(d-j)) * (E4^a E6^b) -- already
-    lower triangular with unit diagonal -- then reduced above the diagonal
-    by integer back-substitution, so integrality never has to be cleared.
+    Row r (1 <= r <= d) is Delta^d * head * j^(d-r), with head = E4^a E6^b
+    of weight k - 12d and j = E4^3 / Delta the modular invariant; it
+    equals Delta^r * E4^(3(d-r)) * head, so it starts at q^r with
+    coefficient 1 and the rows are lower triangular with unit diagonal.
+    Written with D = Delta/q, row r is q^r * g_(d-r) along the chain
+    g_0 = D^d * head, g_(m+1) = g_m * (q*j) with q*j = E4^3 / D: one
+    series product per row.  D has constant term 1, so 1/D is an integer
+    series (prod (1 - q^n)^-24) and every g_m stays integral.  The rows
+    are then reduced above the diagonal by integer back-substitution,
+    so integrality never has to be cleared.
     """
     if k % 2 != 0:
         raise ValueError(f"weight must be even, got {k}")
@@ -145,22 +157,22 @@ def miller_basis(k, prec=None):
 
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)
+    e4_cubed = series_pow(e4, 3)
+    # Delta/q: the q-shift leaves precision prec - 1, all that row 1
+    # (the one that needs most) reads after its own shift by q.
+    dq = IntSeries(_discriminant(e4_cubed, e6).coeffs[1:])
+    qj = series_mul(e4_cubed, series_inv(dq))
     a, b = _EIS_MONOMIAL[k % 12]
-    head = series_mul(series_pow(e4, a), series_pow(e6, b))
-    square = series_mul(e6, e6)
-    dlt = delta(prec)
+    g = series_pow(dq, d)
+    for factor in [e4] * a + [e6] * b:  # times head = E4^a E6^b
+        g = series_mul(g, factor)
 
-    square_pows = [IntSeries.one(prec)]
-    for _ in range(d - 1):
-        square_pows.append(series_mul(square_pows[-1], square))
-
-    raw = []
-    cur = series_mul(dlt, head)  # Delta^j * head as j walks 1..d
-    for j in range(1, d + 1):
-        sp = square_pows[d - j]
-        raw.append(list(cur.coeffs) if d - j == 0 else list(series_mul(cur, sp).coeffs))
+    raw = []  # rows d, d-1, ..., 1 from g_0, g_1, ..., g_(d-1)
+    for j in range(d, 0, -1):
         if j < d:
-            cur = series_mul(cur, dlt)
+            g = series_mul(g, qj)
+        raw.append([0] * j + list(g.coeffs[: prec + 1 - j]))
+    raw.reverse()
 
     for j in range(d):
         if raw[j][j + 1] != 1:

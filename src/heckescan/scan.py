@@ -156,7 +156,10 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
     Weights are started largest first, in this process when workers is 1
     and in a pool of that many processes otherwise.  Records are appended
     to output_path as they complete (flushed per line, so an interrupted
-    scan loses at most the records in flight).  A torn last line (no
+    scan loses at most the records in flight).  When a weight raises, or
+    a worker dies (BrokenProcessPool), the weights still queued are
+    cancelled and the error propagates; the records written so far stay,
+    and a resumed scan finishes the range.  A torn last line (no
     newline) is cut off before anything is appended to the file, and the
     report carries the cut text.  With resume, weights already present
     in the file are kept, not recomputed (a torn one is recomputed).
@@ -200,8 +203,14 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(compute_record, k) for k in todo]
-                for fut in as_completed(futures):
-                    _emit(fut.result(), computed, out)
+                try:
+                    for fut in as_completed(futures):
+                        _emit(fut.result(), computed, out)
+                except BaseException:
+                    # Weights still queued would only be computed and
+                    # discarded; the ones already running finish first.
+                    pool.shutdown(cancel_futures=True)
+                    raise
     finally:
         if out:
             out.close()

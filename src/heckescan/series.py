@@ -9,9 +9,13 @@ Multiplication is the plain Cauchy product.  For large operands the same
 product is computed by Kronecker substitution (coefficients packed into a
 single big integer, one big multiply, then unpacked); the two paths are
 bit-for-bit identical and the test suite checks them against each other.
+A series with constant term +-1 has an integral inverse, computed term by
+term.
 """
 
 from __future__ import annotations
+
+import operator
 
 try:
     from gmpy2 import mpz as _mpz
@@ -115,6 +119,25 @@ def series_pow(f, e):
         if e:
             base = series_mul(base, base)
     return result
+
+
+def series_inv(f):
+    """1/f at the precision of f, for f with constant term +1 or -1.
+
+    Only a unit constant term keeps the inverse integral; any other is a
+    ValueError.  Solves f*g = 1 term by term: g_n = -c * sum f_i g_(n-i)
+    with c = f_0 = 1/f_0.
+    """
+    if not isinstance(f, IntSeries):
+        raise TypeError("IntSeries operand expected")
+    c = f.coeffs[0]
+    if c not in (1, -1):
+        raise ValueError(f"constant term {c} is not a unit; 1/f is not integral")
+    fs = f.coeffs
+    g = [c]
+    for n in range(1, f.prec + 1):
+        g.append(-c * sum(map(operator.mul, fs[1 : n + 1], reversed(g))))
+    return IntSeries(g)
 
 
 def _int_convolve(a, b, n_out):

@@ -1,8 +1,20 @@
 import json
+import os
 
+import heckescan.scan
 from heckescan.cli import dispatch, emit_theta_plot
 from heckescan.primes import sieve
-from heckescan.scan import MAEDA_CAVEAT
+from heckescan.scan import MAEDA_CAVEAT, compute_record, load_records
+
+_real_compute_record = compute_record
+
+
+def _die_at_weight(k):
+    """Stand-in for compute_record: the pool's worker process exits
+    without a word at one weight (module-level, so the pool can pickle it)."""
+    if k == int(os.environ["HECKESCAN_TEST_DIE_AT"]):
+        os._exit(1)
+    return _real_compute_record(k)
 
 
 def test_trace_text(capsys):
@@ -182,8 +194,19 @@ def test_help_exits_0(capsys):
 
 
 def test_version_exits_0(capsys):
+    import mpmath
+
     assert dispatch(["--version"]) == 0
-    assert "heckescan" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("heckescan ")
+    assert len(out.splitlines()) == 1
+    try:
+        import gmpy2
+    except ImportError:
+        assert "no gmpy2" in out
+    else:
+        assert f"gmpy2 {gmpy2.version()}" in out
+    assert f"mpmath {mpmath.__version__} {mpmath.libmp.BACKEND} backend" in out
 
 
 def test_scan_resume_reports_a_torn_tail(tmp_path, capsys):
@@ -223,3 +246,22 @@ def test_exactness_failure_exits_3_without_traceback(monkeypatch, capsys):
     assert captured.err == (
         "error: exactness check failed: characteristic polynomial trace not divisible by 2\n"
     )
+
+
+def test_killed_worker_exits_2_and_resume_finishes(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "killed.tsv"
+    argv = ["scan", "--min", "12", "--max", "60", "--jobs", "2", "--out", str(out)]
+    monkeypatch.setenv("HECKESCAN_TEST_DIE_AT", "40")
+    monkeypatch.setattr(heckescan.scan, "compute_record", _die_at_weight)
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a worker process died")
+    assert "--resume" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+    monkeypatch.setattr(heckescan.scan, "compute_record", _real_compute_record)
+    assert dispatch(argv + ["--resume"]) == 0
+    assert "25 records" in capsys.readouterr().out
+    assert sorted(r.k for r in load_records(out)) == list(range(12, 61, 2))

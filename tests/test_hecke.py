@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -139,6 +140,30 @@ def test_charpoly_second_coefficient_is_minus_trace():
         p = charpoly_t2(k)
         assert p.degree == d
         assert p.coeffs[1] == -t
+
+
+def eichler_selberg_trace_t2(k):
+    """Tr T2 on the weight-k cusp space from the Eichler-Selberg trace
+    formula (Zagier 1977), independent of any q-expansion:
+    -1/2 sum_{|t|<=2} P_k(t, 2) H(8 - t^2) - 1/2 sum_{dd'=2} min(d, d')^(k-1),
+    plus sigma_1(2) = 3 at k = 2.  P_k(t, 2) = U_(k-2) with U_0 = 1,
+    U_1 = t, U_(m+1) = t U_m - 2 U_(m-1); the Hurwitz class numbers are
+    H(8) = H(7) = 1 and H(4) = 1/2."""
+    hurwitz = {8: Fraction(1), 7: Fraction(1), 4: Fraction(1, 2)}
+    total = Fraction(0)
+    for t in range(-2, 3):
+        u_prev, u = 0, 1  # U_(-1), U_0
+        for _ in range(k - 2):
+            u_prev, u = u, t * u - 2 * u_prev
+        total += u * hurwitz[8 - t * t]
+    trace = -total / 2 - 1 + (3 if k == 2 else 0)
+    assert trace.denominator == 1
+    return int(trace)
+
+
+def test_trace_matches_eichler_selberg_formula_to_360():
+    for k in range(2, 361, 2):
+        assert trace_t2(k)[1] == eichler_selberg_trace_t2(k), k
 
 
 def test_trace_matrix_charpoly_agree_sampled_to_600():

@@ -248,16 +248,19 @@ def test_basis_default_precision_is_twice_dim():
 
 
 def test_basis_matches_rational_elimination_oracle():
-    for k in (12, 16, 18, 20, 22, 24, 26, 28, 36, 48):
+    # default precision 2*dim, then the larger ones eigenform_coeffs and
+    # `vmbasis --prec` ask for
+    cases = [(k, 2 * dim_cusp(k)) for k in (12, 16, 18, 20, 22, 24, 26, 28, 36, 48)]
+    cases += [(12, 7), (24, 10), (26, 13), (36, 9), (38, 20), (48, 11)]
+    for k, prec in cases:
         d = dim_cusp(k)
-        prec = 2 * d
         rows = spanning_set_echelon(k, prec)
         assert len(rows) == d
         basis = miller_basis(k, prec)
         for j in range(d):
             oracle = rows[j]
             assert all(c.denominator == 1 for c in oracle)
-            assert tuple(int(c) for c in oracle) == basis.forms[j].coeffs, (k, j)
+            assert tuple(int(c) for c in oracle) == basis.forms[j].coeffs, (k, prec, j)
 
 
 def test_basis_echelon_and_integrality_random_weights():

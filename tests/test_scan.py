@@ -1,5 +1,10 @@
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
+import heckescan.scan
 from heckescan.hecke import t2_matrix, trace_t2
 from heckescan.modforms import dim_cusp
 from heckescan.scan import (
@@ -14,6 +19,36 @@ from heckescan.scan import (
     run_scan,
     save_records,
 )
+
+
+# Stand-ins for compute_record in the pool's worker processes.  They are
+# module-level so the pool can pickle them, and read their settings from
+# the environment, which every worker inherits.
+_real_compute_record = compute_record
+
+
+def _fail_first_weight(k):
+    """Leaves a marker per started weight; the largest (first submitted)
+    weight raises at once, the others take 50 ms each."""
+    open(os.path.join(os.environ["HECKESCAN_TEST_MARKS"], str(k)), "w").close()
+    if k == int(os.environ["HECKESCAN_TEST_FAIL_AT"]):
+        raise RuntimeError(f"injected failure at weight {k}")
+    time.sleep(0.05)
+    return WeightRecord(k, dim_cusp(k), 0)
+
+
+def _die_at_weight(k):
+    """The worker process exits without a word at one weight."""
+    if k == int(os.environ["HECKESCAN_TEST_DIE_AT"]):
+        os._exit(1)
+    return _real_compute_record(k)
+
+
+def _assert_complete_records(path):
+    text = path.read_text()
+    assert text == "" or text.endswith("\n")
+    for rec in load_records(path):
+        assert rec.dim == dim_cusp(rec.k)
 
 
 def test_compute_record():
@@ -237,3 +272,39 @@ def test_scan_oracle_consistency_random_sample(tmp_path):
 def test_dim_monotone_under_weight_plus_12():
     for k in range(2, 201, 2):
         assert dim_cusp(k + 12) >= dim_cusp(k)
+
+
+def test_failed_weight_cancels_the_queued_ones(tmp_path, monkeypatch):
+    marks = tmp_path / "started"
+    marks.mkdir()
+    monkeypatch.setenv("HECKESCAN_TEST_MARKS", str(marks))
+    monkeypatch.setenv("HECKESCAN_TEST_FAIL_AT", "400")
+    monkeypatch.setattr(heckescan.scan, "compute_record", _fail_first_weight)
+    out = tmp_path / "failed.tsv"
+    with pytest.raises(RuntimeError, match="injected failure at weight 400"):
+        run_scan(2, 400, workers=2, output_path=out)
+    started = sorted(int(name) for name in os.listdir(marks))
+    assert 400 in started
+    # 200 weights queued; only those already handed to the two workers run
+    assert len(started) <= 20, started
+    _assert_complete_records(out)
+    assert {r.k for r in load_records(out)} < set(started)
+
+
+def test_killed_worker_leaves_complete_records_and_resume_finishes(tmp_path, monkeypatch):
+    out = tmp_path / "killed.tsv"
+    monkeypatch.setenv("HECKESCAN_TEST_DIE_AT", "60")
+    monkeypatch.setattr(heckescan.scan, "compute_record", _die_at_weight)
+    with pytest.raises(BrokenProcessPool):
+        run_scan(12, 90, workers=2, output_path=out)
+    _assert_complete_records(out)
+    assert 60 not in {r.k for r in load_records(out)}
+
+    monkeypatch.setattr(heckescan.scan, "compute_record", _real_compute_record)
+    resumed = run_scan(12, 90, workers=2, output_path=out, resume=True)
+    clean_path = tmp_path / "clean.tsv"
+    clean = run_scan(12, 90, workers=1, output_path=clean_path)
+    assert resumed.records == clean.records
+    assert resumed.resumed + resumed.computed == len(clean.records)
+    # the same records, line for line, in completion order
+    assert sorted(out.read_text().splitlines(True)) == sorted(clean_path.read_text().splitlines(True))

@@ -6,6 +6,7 @@ from heckescan.series import (
     IntSeries,
     _convolve_kronecker,
     _convolve_schoolbook,
+    series_inv,
     series_mul,
     series_pow,
 )
@@ -177,3 +178,27 @@ def test_kronecker_without_gmpy2(monkeypatch):
         a = [rng.randint(-(2**60), 2**60) for _ in range(n)]
         b = [rng.randint(-(2**60), 2**60) for _ in range(n)]
         assert _convolve_kronecker(a, b, n) == _convolve_schoolbook(a, b, n)
+
+
+def test_inverse_times_series_is_one():
+    rng = random.Random(41)
+    for prec in (0, 1, 2, 5, 31, 32, 80):
+        for c0 in (1, -1):
+            f = IntSeries([c0] + [rng.randint(-10**6, 10**6) for _ in range(prec)])
+            g = series_inv(f)
+            assert g.prec == prec
+            assert series_mul(f, g) == IntSeries.one(prec)
+            assert series_mul(g, f) == IntSeries.one(prec)
+
+
+def test_inverse_of_one_minus_q_is_geometric():
+    assert series_inv(IntSeries([1, -1], prec=6)) == IntSeries([1] * 7)
+    assert series_inv(IntSeries([-1, 0, 1], prec=5)) == IntSeries([-1, 0, -1, 0, -1, 0])
+
+
+def test_inverse_needs_a_unit_constant_term():
+    for c0 in (0, 2, -2, 1728):
+        with pytest.raises(ValueError):
+            series_inv(IntSeries([c0, 1, 1]))
+    with pytest.raises(TypeError):
+        series_inv([1, 1])
