@@ -56,7 +56,6 @@ from .scan import (
     detect_duplicates,
     load_records,
     run_scan,
-    save_records,
 )
 
 __version__ = "0.1.0"

@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 a verification failed (violated inequality,
 duplicate pair, missing difference, uncertified irreducibility),
 2 usage or input errors, 3 an internal exactness check failed (a
-division that must be exact left a remainder, or a comparison stayed
-undecided at every precision tried), reported as one stderr line.  A
-scan whose worker process dies (BrokenProcessPool) exits 2 with one
-stderr line: the records written before the death are complete, and
-`scan --resume` with the same range finishes it.  All
+division that must be exact left a remainder, the charpoly's Krylov
+matrix stayed singular modulo every lifting prime, or a comparison
+stayed undecided at every precision tried), reported as one stderr
+line.  A scan whose worker process dies (BrokenProcessPool) exits 2
+with one stderr line: the records written before the death are
+complete, and `scan --resume` with the same range finishes it.  All
 numeric output uses a plain decimal point and no grouping, regardless of
 locale.  Every subcommand accepts --json for a machine-readable line
 mirroring the underlying record fields; big integers are emitted as

@@ -2,10 +2,11 @@
 
 Everything is exact integer arithmetic on the echelon basis: the
 coefficient formula a_{2j}(f) + 2^(k-1) a_{j/2}(f), the trace, the full
-matrix, its characteristic polynomial, an irreducibility certificate from
-factor-degree sets mod primes, eigenform coefficients for the
-one-dimensional spaces, and the search for the first Fourier coefficient
-separating two coefficient sequences.
+matrix, its characteristic polynomial (a Krylov system solved by p-adic
+lifting), an irreducibility certificate from factor-degree sets mod
+primes, eigenform coefficients for the one-dimensional spaces, and the
+search for the first Fourier coefficient separating two coefficient
+sequences.
 """
 
 from __future__ import annotations
@@ -114,44 +115,90 @@ class CharPoly:
         return " ".join(parts)
 
 
+# Moduli for the p-adic lifting: Mersenne primes, so none needs a
+# primality test.  A Krylov matrix singular modulo one is tried at the next.
+_LIFT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
 def charpoly_t2(k, matrix=None):
-    """Characteristic polynomial of T2 on the weight-k cusp space, by the
-    Faddeev-LeVerrier recurrence (all intermediate matrices stay integral;
-    each division is checked exact)."""
+    """Characteristic polynomial of T2 on the weight-k cusp space (of the
+    given matrix, when one is supplied).
+
+    The Krylov matrix K = [v, Av, ..., A^(d-1) v] of v = e_1 and b = A^d v
+    give the system K c = b, solved by Dixon's p-adic lifting modulo a prime
+    p at which K is invertible: balanced digits x_i = K^-1 r_i mod p, with
+    r_0 = b and r_(i+1) = (r_i - K x_i) / p checked exact, until r is zero.
+    Then K c = b holds over the integers, and K invertible mod p makes it
+    invertible over Q, so x^d - sum c_i x^i is the degree-d minimal
+    polynomial of v: the characteristic polynomial, by Cayley-Hamilton.
+    The digits are capped by the bound C(d, i) * ||A||^(d-i) on |c_i|
+    (||A|| the largest absolute row sum), through its sum (||A|| + 1)^d.
+    K singular modulo every lifting prime (v not cyclic, for one), a
+    remainder in a division or a lift past the cap raises ArithmeticError,
+    never a guess.
+    """
     if matrix is None:
         matrix = t2_matrix(k)
     d = matrix.dim
     if d == 0:
         return CharPoly(k, (1,))
-    m = matrix.entries
-    work = [list(row) for row in m]
-    coeffs = [1, -sum(work[i][i] for i in range(d))]
-    for step in range(2, d + 1):
-        c = coeffs[-1]
-        for i in range(d):
-            work[i][i] += c
-        work = _matmul(m, work)
-        t = sum(work[i][i] for i in range(d))
-        q, r = divmod(-t, step)
-        if r:
-            raise ArithmeticError(f"characteristic polynomial trace not divisible by {step}")
-        coeffs.append(q)
-    # Cayley-Hamilton termination: A_d + c_d I must vanish.
-    for i in range(d):
-        work[i][i] += coeffs[-1]
-    if any(v != 0 for row in work for v in row):
-        raise ArithmeticError("Faddeev-LeVerrier termination check failed")
-    return CharPoly(k, tuple(coeffs))
+    rows = matrix.entries
+    cols = [[1] + [0] * (d - 1)]
+    for _ in range(d):
+        cols.append([sum(map(mul, row, cols[-1])) for row in rows])
+    r = cols.pop()
+    krylov = list(zip(*cols))
+    for p in _LIFT_PRIMES:
+        inverse = _inverse_mod_p(krylov, p)
+        if inverse is not None:
+            break
+    else:
+        raise ArithmeticError("Krylov matrix of e_1 is singular modulo every lifting prime")
+    bound = (max(sum(map(abs, row)) for row in rows) + 1) ** d
+    digits = []
+    reach = 1  # p^len(digits): the solution must be found while reach <= 2 * bound
+    half = p // 2
+    while any(r):
+        if reach > 2 * bound:
+            raise ArithmeticError(
+                f"p-adic lifting exceeded the coefficient bound after {len(digits)} digits"
+            )
+        r_mod = [v % p for v in r]
+        x = [sum(map(mul, row, r_mod)) % p for row in inverse]
+        x = [v - p if v > half else v for v in x]
+        nxt = []
+        for v, row in zip(r, krylov):
+            q, rem = divmod(v - sum(map(mul, row, x)), p)
+            if rem:
+                raise ArithmeticError("p-adic lifting residual not divisible by the prime")
+            nxt.append(q)
+        r = nxt
+        digits.append(x)
+        reach *= p
+    c = [0] * d
+    for x in reversed(digits):
+        c = [ci * p + xi for ci, xi in zip(c, x)]
+    return CharPoly(k, (1,) + tuple(-ci for ci in reversed(c)))
 
 
-def _matmul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    out = []
-    for i in range(n):
-        ai = a[i]
-        out.append([sum(x * y for x, y in zip(ai, col) if x) for col in bt])
-    return out
+def _inverse_mod_p(m, p):
+    """Inverse of the square matrix m modulo the prime p by Gauss-Jordan
+    elimination, as a list of rows; None when m is singular mod p."""
+    n = len(m)
+    work = [[v % p for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col]), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = pow(work[col][col], -1, p)
+        prow = [v * inv % p for v in work[col]]
+        work[col] = prow
+        for i in range(n):
+            f = work[i][col]
+            if i != col and f:
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], prow)]
+    return [row[n:] for row in work]
 
 
 @dataclass(frozen=True)

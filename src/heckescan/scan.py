@@ -106,13 +106,6 @@ def drop_torn_tail(path):
     return data[keep:].decode("ascii", "replace")
 
 
-def save_records(records, path):
-    """Write a record file from scratch (normalized order by weight)."""
-    with open(path, "w", encoding="ascii") as fh:
-        for rec in sorted(records, key=lambda r: r.k):
-            fh.write(record_line(rec))
-
-
 def detect_duplicates(records):
     """Unordered weight pairs sharing (dim, trace) with dim >= 1; empty
     spaces carry no eigenforms and are excluded."""

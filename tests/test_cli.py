@@ -237,14 +237,14 @@ def test_exactness_failure_exits_3_without_traceback(monkeypatch, capsys):
     import heckescan.cli
 
     def broken(k):
-        raise ArithmeticError("characteristic polynomial trace not divisible by 2")
+        raise ArithmeticError("p-adic lifting residual not divisible by the prime")
 
     monkeypatch.setattr(heckescan.cli, "charpoly_t2", broken)
     assert dispatch(["charpoly", "--weight", "24"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: exactness check failed: characteristic polynomial trace not divisible by 2\n"
+        "error: exactness check failed: p-adic lifting residual not divisible by the prime\n"
     )
 
 
@@ -265,3 +265,24 @@ def test_killed_worker_exits_2_and_resume_finishes(tmp_path, monkeypatch, capsys
     assert dispatch(argv + ["--resume"]) == 0
     assert "25 records" in capsys.readouterr().out
     assert sorted(r.k for r in load_records(out)) == list(range(12, 61, 2))
+
+
+def test_scan_onto_an_unwritable_path_exits_2_before_computing(tmp_path, monkeypatch, capsys):
+    # a directory, and a file in a directory that does not exist; neither
+    # depends on permission bits, which the superuser ignores
+    def computed(k):
+        raise AssertionError(f"weight {k} computed before the output was opened")
+
+    monkeypatch.setattr(heckescan.scan, "compute_record", computed)
+    missing = tmp_path / "missing" / "r.tsv"
+    for out in (tmp_path, missing):
+        for jobs in ("1", "2"):
+            argv = ["scan", "--min", "12", "--max", "40", "--jobs", jobs, "--out", str(out)]
+            assert dispatch(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert str(out) in captured.err
+            assert len(captured.err.splitlines()) == 1
+            assert "Traceback" not in captured.err
+    assert not missing.parent.exists()

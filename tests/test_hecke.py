@@ -7,6 +7,7 @@ import pytest
 
 from heckescan.hecke import (
     CharPoly,
+    T2Matrix,
     charpoly_t2,
     check_irreducible,
     distinguish,
@@ -15,6 +16,7 @@ from heckescan.hecke import (
     t2_matrix,
     trace_t2,
     _factor_degrees_mod_q,
+    _inverse_mod_p,
 )
 from heckescan.modforms import delta, miller_basis
 
@@ -127,6 +129,95 @@ def test_charpoly_against_cofactor_oracle(k):
     m = t2_matrix(k)
     asc = _det_poly_oracle(list(list(r) for r in m.entries))
     assert tuple(reversed(asc)) == charpoly_t2(k).coeffs
+
+
+def faddeev_leverrier_charpoly(k, matrix=None):
+    """Characteristic polynomial of T2 on the weight-k cusp space, by the
+    Faddeev-LeVerrier recurrence (all intermediate matrices stay integral;
+    each division is checked exact)."""
+    if matrix is None:
+        matrix = t2_matrix(k)
+    d = matrix.dim
+    if d == 0:
+        return CharPoly(k, (1,))
+    m = matrix.entries
+    work = [list(row) for row in m]
+    coeffs = [1, -sum(work[i][i] for i in range(d))]
+    for step in range(2, d + 1):
+        c = coeffs[-1]
+        for i in range(d):
+            work[i][i] += c
+        work = _matmul(m, work)
+        t = sum(work[i][i] for i in range(d))
+        q, r = divmod(-t, step)
+        if r:
+            raise ArithmeticError(f"characteristic polynomial trace not divisible by {step}")
+        coeffs.append(q)
+    # Cayley-Hamilton termination: A_d + c_d I must vanish.
+    for i in range(d):
+        work[i][i] += coeffs[-1]
+    if any(v != 0 for row in work for v in row):
+        raise ArithmeticError("Faddeev-LeVerrier termination check failed")
+    return CharPoly(k, tuple(coeffs))
+
+
+def _matmul(a, b):
+    n = len(a)
+    bt = list(zip(*b))
+    out = []
+    for i in range(n):
+        ai = a[i]
+        out.append([sum(x * y for x, y in zip(ai, col) if x) for col in bt])
+    return out
+
+
+def test_charpoly_against_faddeev_leverrier_to_300():
+    for k in range(2, 301, 2):
+        m = t2_matrix(k)
+        assert charpoly_t2(k, matrix=m) == faddeev_leverrier_charpoly(k, matrix=m), k
+
+
+def test_charpoly_falls_back_to_the_next_lifting_prime():
+    p = 2**61 - 1
+    m = T2Matrix(0, 2, ((3, 1), (p, 5)))
+    # the Krylov matrix [e_1, A e_1] = [[1, 3], [0, p]] is singular mod p
+    assert _inverse_mod_p(((1, 3), (0, p)), p) is None
+    assert charpoly_t2(0, matrix=m).coeffs == (1, -8, 15 - p)
+
+
+def test_charpoly_refuses_a_non_cyclic_first_vector():
+    m = T2Matrix(0, 2, ((5, 0), (0, 5)))
+    with pytest.raises(ArithmeticError, match="singular"):
+        charpoly_t2(0, matrix=m)
+
+
+def test_charpoly_one_by_one():
+    assert charpoly_t2(0, matrix=T2Matrix(0, 1, ((-7,),))).coeffs == (1, 7)
+    assert charpoly_t2(0, matrix=T2Matrix(0, 1, ((0,),))).coeffs == (1, 0)
+
+
+def test_charpoly_with_large_negative_coefficients():
+    # lower triangular with a unit subdiagonal: e_1 is cyclic, and the
+    # charpoly is the product of x - a_ii whatever lies below the diagonal
+    a, b, c = 3**100, 2**200, 5**90 + 1
+    rows = ((a, 0, 0, 0), (1, b, 0, 0), (-(10**40), 1, c, 0), (7**50, -(3**70), 1, 7))
+    expected = [1]
+    for root in (a, b, c, 7):
+        expected = _int_poly_mul(expected, [1, -root])
+    assert expected[1] < -(2**200) and expected[3] < -(2**390)
+    matrix = T2Matrix(0, 4, rows)
+    assert charpoly_t2(0, matrix=matrix).coeffs == tuple(expected)
+    assert faddeev_leverrier_charpoly(0, matrix=matrix).coeffs == tuple(expected)
+
+
+def test_charpoly_random_matrices_against_faddeev_leverrier():
+    rng = random.Random(23)
+    for _ in range(40):
+        d = rng.randint(1, 7)
+        size = rng.choice([3, 10**6, 10**40])
+        rows = tuple(tuple(rng.randint(-size, size) for _ in range(d)) for _ in range(d))
+        matrix = T2Matrix(0, d, rows)
+        assert charpoly_t2(0, matrix=matrix) == faddeev_leverrier_charpoly(0, matrix=matrix), rows
 
 
 def test_charpoly_empty_space():

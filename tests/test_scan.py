@@ -17,7 +17,6 @@ from heckescan.scan import (
     parse_record_line,
     record_line,
     run_scan,
-    save_records,
 )
 
 
@@ -73,8 +72,8 @@ def test_detect_duplicates_triple_collision():
 
 def test_round_trip(tmp_path):
     path = tmp_path / "records.tsv"
-    records = [compute_record(k) for k in range(2, 22, 2)]
-    save_records(records, path)
+    records = [compute_record(k) for k in range(20, 0, -2)]
+    path.write_text("".join(map(record_line, records)))
     assert load_records(path) == sorted(records, key=lambda r: r.k)
 
 
@@ -251,7 +250,7 @@ def test_resume_rejects_contradictory_dimension(tmp_path):
 
 def test_resume_ignores_records_outside_range(tmp_path):
     out = tmp_path / "range.tsv"
-    save_records([compute_record(k) for k in (12, 100)], out)
+    out.write_text(record_line(compute_record(12)) + record_line(compute_record(100)))
     report = run_scan(2, 20, workers=1, output_path=out, resume=True)
     assert all(2 <= r.k <= 20 for r in report.records)
     assert report.resumed == 1  # only k=12 lies in range
