@@ -4,12 +4,20 @@ The continuum inequalities about theta are decided at their finitely many
 critical points (prime jump positions and left limits), never by dense
 sampling.  On a half-open step [lo, hi) the supremum of x is not attained,
 so "theta > x on the whole step" is checked as the non-strict
-"theta >= hi".  Comparisons that land near equality are re-run at doubled
-precision from the exact primes before a verdict is accepted.
+"theta >= hi".
+
+Every near-tie takes one route.  The sweeps screen each slack computed from
+the stored prefix sums against one margin per table that bounds its
+accumulated rounding (`_screen_margin`).  A slack inside the margin, each
+comparison of `failure_intervals` and the exp step of `exceptional_levels`
+are decided by `_certified`: an interval enclosure from exact data (theta
+as logs of exact prime products), evaluated at prec_bits and doubled until
+it decides, or ArithmeticError after five tries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,53 +98,84 @@ class FailureInterval:
     """Maximal interval [lo, hi) on which theta(2x) <= x.
 
     Endpoints carry exact tags alongside their numeric values: lo is
-    log(lo_log_arg) when that field is set, otherwise the exact rational
-    lo_exact; hi is always the exact rational hi_exact."""
+    log(lo_log_arg) for an exact integer lo_log_arg (the first interval
+    opens at 0 = log 1 and also carries lo_exact = 0); hi is always the
+    exact rational hi_exact."""
 
     lo: object
     hi: object
-    lo_log_arg: int | None
+    lo_log_arg: int
     lo_exact: Fraction | None
     hi_exact: Fraction
 
 
-def _mpf_to_fraction(x):
-    if x == 0:
-        return Fraction(0)
-    sign, man, exp, _ = x._mpf_
-    v = Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
-    return -v if sign else v
+def _certified(enclose, verdict, prec_bits):
+    """verdict(enclose(ctx)) for an interval enclosure of the true value,
+    where verdict returns None while the interval is too wide.  Tries
+    prec_bits and four doublings of it in a private context (mpmath.iv.prec
+    is global), then raises ArithmeticError."""
+    ctx = type(mpmath.iv)()
+    for k in range(5):
+        ctx.prec = prec_bits << k
+        answer = verdict(enclose(ctx))
+        if answer is not None:
+            return answer
+    raise ArithmeticError(f"interval enclosure undecided at {ctx.prec} bits")
 
 
-def _theta_head(table, idx, prec_bits):
-    """Fresh recomputation of theta at the idx-th prime."""
-    with mpmath.workprec(prec_bits):
-        total = mpmath.mpf(0)
-        for p in table.primes[: idx + 1]:
-            total += mpmath.log(p)
-        return total
+def _sign(x):
+    """+1 or -1 once the interval x excludes 0."""
+    return 1 if x.a > 0 else (-1 if x.b < 0 else None)
 
 
-def _cmp_theta(table, idx, bound):
-    """Sign of theta(p_idx) - bound for an exact rational bound: -1 or +1.
+def _floor(x):
+    """N once the interval x lies strictly between N and N + 1 (x > 0)."""
+    n = int(x.b)
+    return n if n < x.a else None
 
-    The stored prefix value decides unless it sits within the worst-case
-    accumulated rounding of the running sum, in which case theta is
-    recomputed at doubled precision (exact ties cannot occur: theta here
-    is the log of an integer >= 2, never rational)."""
-    bits = table.prec_bits
-    th = table.theta_prefix[idx]
-    for _ in range(5):
-        fr = _mpf_to_fraction(th)
-        err = Fraction((idx + 2) * (abs(int(fr)) + 2) * 4, 2**bits)
-        diff = fr - bound
-        if diff > err:
-            return 1
-        if -diff > err:
-            return -1
-        bits *= 2
-        th = _theta_head(table, idx, bits)
-    raise ArithmeticError(f"theta(p_{idx + 1}) vs {bound} undecided at {bits} bits")
+
+def _rational(ctx, r):
+    return ctx.mpf(r.numerator) / r.denominator
+
+
+def _below(theta_p, x, prec_bits):
+    """theta < x for an enclosure theta_p of theta and an exact rational x."""
+    return _certified(lambda ctx: theta_p(ctx) - _rational(ctx, x), _sign, prec_bits) < 0
+
+
+def _dusart_slack(primes, p):
+    """c p / log^2 p - |theta - p| as an enclosure, for theta at the last
+    of `primes` (the first k primes)."""
+    theta_x = _theta_enclosure(primes)
+    return lambda ctx: _rational(ctx, DUSART_COEFF) * p / ctx.log(p) ** 2 - abs(theta_x(ctx) - p)
+
+
+def _theta_enclosure(primes):
+    """theta at the last of `primes` (the first k primes) as an enclosure:
+    the sum of interval logs of exact products of 4096 consecutive primes,
+    so an escalation costs k / 4096 logs of big integers."""
+    products = [math.prod(primes[i : i + 4096]) for i in range(0, len(primes), 4096)]
+    return lambda ctx: sum((ctx.log(m) for m in products), ctx.mpf(0))
+
+
+def _screen_margin(table):
+    """Bound on the rounding error of every slack the sweeps compute from
+    the stored prefix sums; a slack this close to 0 goes to `_certified`.
+
+    With u = 2^-prec_bits, n primes and T the last prefix sum, a stored
+    theta (logs within 2 ulp, one rounding per addition) is off by at most
+    E = 4(n + 2)(T + 2)u.  Dusart reads log p as a difference of two of
+    them, off by at most 2E + u log p; while that is below log(2)/10 (any
+    table that fits in memory) c p / log^2 p moves by at most
+    3 c p / log^3 p times it, and p / log^3 p on [2, limit] peaks at an
+    end, A = max(6.01, limit / log^3 limit).  Every other rounding in
+    either slack stays below 30 limit u, so both are off by less than
+    (1 + 6 c A)(E + 30 limit u)."""
+    u = 2.0 ** -table.prec_bits
+    n, limit = len(table.primes), table.limit
+    err = 4 * (n + 2) * (float(table.theta_prefix[-1]) + 2) * u
+    amp = max(6.01, limit / math.log(limit) ** 3)
+    return mpmath.mpf((1 + 6 * float(DUSART_COEFF) * amp) * (err + 30 * limit * u))
 
 
 def verify_lemma_theta(table):
@@ -151,12 +190,12 @@ def verify_lemma_theta(table):
     ps = table.primes
     prefix = table.theta_prefix
     n = len(ps)
+    margin = _screen_margin(table)
     violations = []
     min_slack = None
     min_x = None
     checked = 0
     with mpmath.workprec(table.prec_bits):
-        tie_guard = mpmath.mpf(2) ** (-(table.prec_bits // 2))
         sups = [(0, Fraction(1, 2))]
         sups.extend((i, Fraction(ps[i + 1] - 2, 2)) for i in range(n - 1))
         sups.append((n - 1, Fraction(table.limit - 2, 2)))
@@ -167,10 +206,9 @@ def verify_lemma_theta(table):
             if min_slack is None or slack < min_slack:
                 min_slack = slack
                 min_x = sup_mpf
-            bad = slack < 0
-            if abs(slack) < tie_guard:
-                bad = _cmp_theta(table, idx, sup) < 0
-            if bad:
+            if slack < margin and (
+                slack <= -margin or _below(_theta_enclosure(ps[: idx + 1]), sup, table.prec_bits)
+            ):
                 violations.append((ps[idx], sup, slack))
     return CheckReport(
         "theta(2x+2) > x", not violations, checked, min_slack, min_x, tuple(violations), table.prec_bits
@@ -183,18 +221,19 @@ def verify_dusart(table):
     x > 1.  Reports the minimal slack and where it occurs."""
     if table.limit < 10:
         raise ValueError("table limit below 10 leaves nothing worth checking")
+    ps = table.primes
+    margin = _screen_margin(table)
     violations = []
     min_slack = None
     min_x = None
     checked = 0
     with mpmath.workprec(table.prec_bits):
         coeff = mpmath.mpf(DUSART_COEFF.numerator) / DUSART_COEFF.denominator
-        tie_guard = mpmath.mpf(2) ** (-(table.prec_bits // 3))
         prev = mpmath.mpf(0)
-        for i, p in enumerate(table.primes):
+        for i, p in enumerate(ps):
             th = table.theta_prefix[i]
-            # log p recovered from adjacent prefix sums; the cancellation
-            # is exact and the inherited rounding is far below tie_guard
+            # log p recovered from adjacent prefix sums; its rounding is
+            # part of the screen margin
             logp = th - prev
             bound = coeff * p / (logp * logp)
             for value in (prev, th):
@@ -203,9 +242,10 @@ def verify_dusart(table):
                 if min_slack is None or slack < min_slack:
                     min_slack = slack
                     min_x = p
-                if slack < tie_guard:
-                    slack = _dusart_slack_exact(table, i, value is th)
-                if slack <= 0:
+                if slack < margin and (
+                    slack <= -margin
+                    or _certified(_dusart_slack(ps[: i + (value is th)], p), _sign, table.prec_bits) < 0
+                ):
                     violations.append((p, "jump" if value is th else "left-limit", slack))
             prev = th
     return CheckReport(
@@ -217,17 +257,6 @@ def verify_dusart(table):
         tuple(violations),
         table.prec_bits,
     )
-
-
-def _dusart_slack_exact(table, i, at_jump):
-    bits = 2 * table.prec_bits
-    with mpmath.workprec(bits):
-        p = table.primes[i]
-        th = _theta_head(table, i, bits) if at_jump else (
-            _theta_head(table, i - 1, bits) if i else mpmath.mpf(0)
-        )
-        coeff = mpmath.mpf(DUSART_COEFF.numerator) / DUSART_COEFF.denominator
-        return coeff * p / mpmath.log(p) ** 2 - abs(th - p)
 
 
 def failure_intervals(table, x_max=None):
@@ -255,27 +284,17 @@ def failure_intervals(table, x_max=None):
                 raise ValueError("table too small: need the next prime past the cap")
             primorial *= p
             seg_hi = min(Fraction(ps[i + 1], 2), cap)
-            if _cmp_theta(table, i, seg_lo) < 0:
-                # theta(p) below the whole segment: it fails end to end
-                if cur is not None and cur[3] == seg_lo:
-                    cur[3] = seg_hi
-                else:  # pragma: no cover - unreachable for contiguous segments
-                    cur = [
-                        mpmath.mpf(seg_lo.numerator) / seg_lo.denominator,
-                        None,
-                        seg_lo,
-                        seg_hi,
-                    ]
-            elif _cmp_theta(table, i, seg_hi) < 0:
-                # failure starts inside the segment, at theta(p) = log(primorial)
-                if cur is not None:
-                    intervals.append(cur)
-                cur = [table.theta_prefix[i], primorial, None, seg_hi]
-            else:
-                # theta(p) clears the segment: nothing fails here
-                if cur is not None:
-                    intervals.append(cur)
-                    cur = None
+            theta_p = lambda ctx: ctx.log(primorial)
+            if _below(theta_p, seg_lo, table.prec_bits):
+                # fails on the whole segment; cur is open: theta(p_prev) < theta(p) < seg_lo
+                cur[3] = seg_hi
+                continue
+            if cur is not None:
+                intervals.append(cur)
+            # failure starts inside the segment, at theta(p) = log(primorial),
+            # unless theta(p) clears the segment too
+            inside = _below(theta_p, seg_hi, table.prec_bits)
+            cur = [table.theta_prefix[i], primorial, None, seg_hi] if inside else None
         if cur is not None:
             intervals.append(cur)
         out = []
@@ -287,32 +306,12 @@ def failure_intervals(table, x_max=None):
 
 def exceptional_levels(table):
     """All integers N >= 1 with theta(2 log N) <= log N, i.e. the levels
-    whose log falls in a failure interval of the unshifted inequality."""
+    whose log falls in a failure interval [log m, hi) of the unshifted
+    inequality: m <= N < exp(hi)."""
     out = []
     for iv in failure_intervals(table):
-        if iv.lo_log_arg is not None:
-            n0 = iv.lo_log_arg  # exp(log m) = m exactly
-        else:
-            n0 = _exp_floor_strict(iv.lo_exact, table.prec_bits) + 1
-        n1 = _exp_floor_strict(iv.hi_exact, table.prec_bits)
-        out.extend(range(n0, n1 + 1))
+        # exp of a nonzero rational is irrational, so a narrow enough
+        # enclosure of exp(hi) always lies between two integers
+        exp_hi = _certified(lambda ctx: ctx.exp(_rational(ctx, iv.hi_exact)), _floor, table.prec_bits)
+        out.extend(range(iv.lo_log_arg, exp_hi + 1))
     return tuple(out)
-
-
-def _exp_floor_strict(r, prec_bits):
-    """Largest integer N with N < exp(r) for exact rational r > 0.
-
-    exp of a nonzero rational is irrational, so the floor is certain once
-    exp(r) is known to more than its distance from the nearest integer."""
-    if r <= 0:
-        raise ValueError("positive rational expected")
-    bits = prec_bits
-    for _ in range(5):
-        with mpmath.workprec(bits):
-            v = mpmath.exp(mpmath.mpf(r.numerator) / r.denominator)
-            fl = int(mpmath.floor(v))
-            near = min(v - fl, fl + 1 - v)
-            if near > v * mpmath.mpf(2) ** (8 - bits):
-                return fl
-        bits *= 2
-    raise ArithmeticError(f"exp({r}) too close to an integer to decide at {bits} bits")

@@ -4,13 +4,13 @@ Exit codes: 0 success, 1 a verification failed (violated inequality,
 duplicate pair, missing difference, uncertified irreducibility),
 2 usage or input errors, 3 an internal exactness check failed (a
 division that must be exact left a remainder, the charpoly's Krylov
-matrix stayed singular modulo every lifting prime, or a comparison
-stayed undecided at every precision tried), reported as one stderr
-line.  A scan whose worker process dies (BrokenProcessPool) exits 2
-with one stderr line: the records written before the death are
-complete, and `scan --resume` with the same range finishes it.  All
-numeric output uses a plain decimal point and no grouping, regardless of
-locale.  Every subcommand accepts --json for a machine-readable line
+matrix stayed singular modulo every lifting prime, or the interval
+enclosure of a theta near-tie still straddled it at each of five
+doubling precisions), reported as one stderr line.  A scan whose worker
+process dies (BrokenProcessPool) exits 2 with one stderr line: the
+records written before the death are complete, and `scan --resume` with
+the same range finishes it.  All numeric output uses a plain decimal
+point and no grouping, regardless of locale.  Every subcommand accepts --json for a machine-readable line
 mirroring the underlying record fields; big integers are emitted as
 decimal strings there.
 """
@@ -381,11 +381,9 @@ def _cmd_primorial_table(args):
     if args.count < 1:
         print("error: --count must be positive", file=sys.stderr)
         return 2
-    limit = 64
-    table = sieve(limit)
-    while len(table.primes) <= args.count:
-        limit *= 4
-        table = sieve(limit)
+    # p_n < n (ln n + ln ln n) for n >= 6 (Rosser-Schoenfeld); 64 covers n < 6
+    n = args.count + 1
+    table = sieve(max(64, int(n * (mpmath.log(n) + mpmath.log(mpmath.log(n)))) + 1))
     rows = [primorial_row(k, table) for k in range(1, args.count + 1)]
     if args.json:
         print(json.dumps({

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -208,16 +209,82 @@ def test_failure_intervals_need_enough_primes():
         failure_intervals(t_tiny)
 
 
-def test_theta_comparison_near_tie_reruns_at_higher_precision(table64):
-    # feed the comparator the exact rational value of the stored 96-bit
-    # theta: the margin is below the rounding allowance, so it must
-    # recompute at doubled precision and still reach a verdict (theta is
-    # a log of an integer >= 2, never equal to any rational)
-    from heckescan.bounds import _cmp_theta, _mpf_to_fraction
+def _exact(x):
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
-    for idx in (0, 3):
-        tie = _mpf_to_fraction(table64.theta_prefix[idx])
-        assert _cmp_theta(table64, idx, tie) in (-1, 1)
+
+def test_theta_comparison_near_tie_reruns_at_higher_precision(table64):
+    # a bound equal to the exact rational value of a stored 96-bit theta
+    # is a tie no stored value can settle; the interval verdict must match
+    # a 400-bit evaluation from the primes
+    import heckescan.bounds as b
+
+    ps = table64.primes
+    for idx in range(len(ps)):
+        tie = _exact(table64.theta_prefix[idx])
+        with mpmath.workprec(400):
+            diff = mpmath.log(math.prod(ps[: idx + 1])) - mpmath.mpf(tie.numerator) / tie.denominator
+            assert abs(diff) > mpmath.mpf(2) ** -300
+        assert b._below(b._theta_enclosure(ps[: idx + 1]), tie, table64.prec_bits) == (diff < 0)
+    # the sweep sends a stored theta pushed within the margin of its
+    # segment's bound to the exact primes: theta(7) = log 210 clears 9/2
+    idx = ps.index(7)
+    for shift in (0, -(2**-90), 2**-90):
+        stored = list(table64.theta_prefix)
+        with mpmath.workprec(table64.prec_bits):
+            stored[idx] = mpmath.mpf(9) / 2 + shift
+        assert abs(stored[idx] - mpmath.mpf(9) / 2) < b._screen_margin(table64)
+        rep = verify_lemma_theta(dataclasses.replace(table64, theta_prefix=tuple(stored)))
+        assert rep.ok and rep.violations == ()
+        assert rep.min_slack == shift and rep.min_slack_x == 4.5
+
+
+def test_dusart_near_tie_at_59_matches_a_400_bit_reference(table64, dusart_tie_coeffs, monkeypatch):
+    import heckescan.bounds as b
+
+    iv_prec = mpmath.iv.prec
+    for coeff in dusart_tie_coeffs:
+        monkeypatch.setattr(b, "DUSART_COEFF", coeff)
+        with mpmath.workprec(400):
+            lag = 59 - mpmath.log(math.prod(p for p in table64.primes if p < 59))
+            slack = mpmath.mpf(coeff.numerator) / coeff.denominator * 59 / mpmath.log(59) ** 2 - lag
+            assert 0 < abs(slack) < mpmath.mpf(10) ** -29
+        rep = verify_dusart(table64)
+        assert rep.min_slack_x == 59 and abs(rep.min_slack) < b._screen_margin(table64)
+        assert rep.ok == (slack > 0)
+        assert [(p, side) for p, side, _ in rep.violations] == ([] if slack > 0 else [(59, "left-limit")])
+    assert mpmath.iv.prec == iv_prec  # the escalation ran in a private context
+
+
+def test_exp_floor_decided_within_2_to_the_minus_100_of_an_integer(table64, monkeypatch):
+    # a failure interval ending at a rational r with exp(r) just below or
+    # just above 245: the level set must stop at 244 or at 245
+    import heckescan.bounds as b
+
+    with mpmath.workprec(400):
+        scaled = mpmath.log(245) * 2**120
+        below, above = int(mpmath.floor(scaled)), int(mpmath.ceil(scaled))
+    for num, last in ((below, 244), (above, 245)):
+        r = Fraction(num, 2**120)
+        with mpmath.workprec(400):
+            gap = mpmath.exp(mpmath.mpf(r.numerator) / r.denominator) - 245
+            assert 0 < abs(gap) < mpmath.mpf(2) ** -100
+        iv = b.FailureInterval(mpmath.log(210), mpmath.mpf(5.5), 210, None, r)
+        monkeypatch.setattr(b, "failure_intervals", lambda table, iv=iv: (iv,))
+        assert exceptional_levels(table64) == tuple(range(210, last + 1))
+
+
+def test_undecided_enclosures_raise(table64, dusart_tie_coeffs, undecidable_enclosures, monkeypatch):
+    import heckescan.bounds as b
+
+    iv_prec = mpmath.iv.prec
+    monkeypatch.setattr(b, "DUSART_COEFF", dusart_tie_coeffs[1])
+    with pytest.raises(ArithmeticError, match="undecided at 1536 bits"):
+        verify_dusart(table64)
+    with pytest.raises(ArithmeticError):
+        exceptional_levels(table64)
+    assert mpmath.iv.prec == iv_prec
 
 
 def test_failure_intervals_tiny_cap(table64):

@@ -1,9 +1,13 @@
 import json
 import os
 
+import mpmath
+import pytest
+
+import heckescan.bounds
 import heckescan.scan
 from heckescan.cli import dispatch, emit_theta_plot
-from heckescan.primes import sieve
+from heckescan.primes import primorial_row, sieve
 from heckescan.scan import MAEDA_CAVEAT, compute_record, load_records
 
 _real_compute_record = compute_record
@@ -246,6 +250,36 @@ def test_exactness_failure_exits_3_without_traceback(monkeypatch, capsys):
     assert captured.err == (
         "error: exactness check failed: p-adic lifting residual not divisible by the prime\n"
     )
+
+
+def test_theta_near_tie_left_undecided_exits_3(dusart_tie_coeffs, undecidable_enclosures, monkeypatch, capsys):
+    monkeypatch.setattr(heckescan.bounds, "DUSART_COEFF", dusart_tie_coeffs[0])
+    assert dispatch(["theta-check", "--limit", "100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: exactness check failed: interval enclosure undecided")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("count", [1, 5, 1000])
+def test_primorial_table_rows_match_primorial_row(count, capsys):
+    table = sieve(8000)  # p_1001 = 7927
+    want = [primorial_row(k, table) for k in range(1, count + 1)]
+    assert dispatch(["primorial-table", "--count", str(count)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "k\tp_k\tgap\ttheta(p_k)"
+    assert lines[1:] == [f"{r.k}\t{r.p_k}\t{r.gap}\t{mpmath.nstr(r.log_primorial, 20)}" for r in want]
+    assert dispatch(["primorial-table", "--count", str(count), "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert rows == [
+        {"k": r.k, "p_k": r.p_k, "gap": r.gap, "log_primorial": mpmath.nstr(r.log_primorial, 20)}
+        for r in want
+    ]
+
+
+def test_primorial_table_count_0_exits_2(capsys):
+    assert dispatch(["primorial-table", "--count", "0"]) == 2
+    assert capsys.readouterr().err == "error: --count must be positive\n"
 
 
 def test_killed_worker_exits_2_and_resume_finishes(tmp_path, monkeypatch, capsys):
