@@ -6,20 +6,27 @@ sampling.  On a half-open step [lo, hi) the supremum of x is not attained,
 so "theta > x on the whole step" is checked as the non-strict
 "theta >= hi".
 
-Every near-tie takes one route.  The sweeps screen each slack computed from
-the stored prefix sums against one margin per table that bounds its
-accumulated rounding (`_screen_margin`).  A slack inside the margin, each
-comparison of `failure_intervals` and the exp step of `exceptional_levels`
-are decided by `_certified`: an interval enclosure from exact data (theta
-as logs of exact prime products), evaluated at prec_bits and doubled until
-it decides, or ArithmeticError after five tries.
+Each sweep takes three steps.  A double screen computes every slack in
+floating point with a bound on its distance from the 96-bit slack, and
+settles all points that can be neither the minimum nor near the margin.
+The rest are evaluated from the stored 96-bit prefix sums and checked
+against one margin per table that bounds their accumulated rounding
+(`_screen_margin`).  A slack inside the margin, each comparison of
+`failure_intervals` and the exp step of `exceptional_levels` are decided by
+`_certified`: an interval enclosure from exact data (theta as logs of exact
+prime products), evaluated at prec_bits and doubled until it decides, or
+ArithmeticError after five tries.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, attrgetter, mul, sub
 
 import mpmath
 
@@ -46,6 +53,13 @@ def main_bound(n, prec_bits=DEFAULT_THETA_BITS):
         return 4 * (mpmath.log(n) + 1) ** 2
 
 
+@functools.lru_cache
+def _exponent_0525(prec_bits):
+    """0.525 rounded to prec_bits, parsed once per precision."""
+    with mpmath.workprec(prec_bits):
+        return mpmath.mpf("0.525")
+
+
 def asymptotic_bounds(n, prec_bits=DEFAULT_THETA_BITS):
     """The three asymptotic bound shapes evaluated with implied constant 1:
     (L + L^0.525)^2, (L + sqrt(L)*log L)^2, (L + (log L)^2)^2 for L = log n.
@@ -56,7 +70,7 @@ def asymptotic_bounds(n, prec_bits=DEFAULT_THETA_BITS):
     with mpmath.workprec(prec_bits):
         big_l = mpmath.log(n)
         log_l = mpmath.log(big_l)
-        e1 = (big_l + big_l ** mpmath.mpf("0.525")) ** 2
+        e1 = (big_l + big_l ** _exponent_0525(prec_bits)) ** 2
         e2 = (big_l + mpmath.sqrt(big_l) * log_l) ** 2
         e3 = (big_l + log_l**2) ** 2
         return (e1, e2, e3)
@@ -109,12 +123,18 @@ class FailureInterval:
     hi_exact: Fraction
 
 
-def _certified(enclose, verdict, prec_bits):
+def _interval_context():
+    """A private mpmath interval context for one top-level call.
+    `_certified` sets its prec, and mpmath.iv.prec is global while a table
+    may be shared across threads."""
+    return type(mpmath.iv)()
+
+
+def _certified(ctx, enclose, verdict, prec_bits):
     """verdict(enclose(ctx)) for an interval enclosure of the true value,
     where verdict returns None while the interval is too wide.  Tries
-    prec_bits and four doublings of it in a private context (mpmath.iv.prec
-    is global), then raises ArithmeticError."""
-    ctx = type(mpmath.iv)()
+    prec_bits and four doublings of it in the interval context ctx, then
+    raises ArithmeticError."""
     for k in range(5):
         ctx.prec = prec_bits << k
         answer = verdict(enclose(ctx))
@@ -138,9 +158,9 @@ def _rational(ctx, r):
     return ctx.mpf(r.numerator) / r.denominator
 
 
-def _below(theta_p, x, prec_bits):
+def _below(ctx, theta_p, x, prec_bits):
     """theta < x for an enclosure theta_p of theta and an exact rational x."""
-    return _certified(lambda ctx: theta_p(ctx) - _rational(ctx, x), _sign, prec_bits) < 0
+    return _certified(ctx, lambda c: theta_p(c) - _rational(c, x), _sign, prec_bits) < 0
 
 
 def _dusart_slack(primes, p):
@@ -178,6 +198,91 @@ def _screen_margin(table):
     return mpmath.mpf((1 + 6 * float(DUSART_COEFF) * amp) * (err + 30 * limit * u))
 
 
+# The double screen.  Each sweep first computes every slack s in doubles
+# from the stored 96-bit sums T read as doubles t, with a bound d on
+# |s - S| for the slack S that the same expression gives in 96 bits.  Only
+# a point with s - d <= min(s + d) over all points (it may hold the
+# minimum) or s - d < margin (S may be below the screen margin) is
+# evaluated again in 96 bits, in index order, so every report field equals
+# the one an all-points 96-bit sweep gives.
+#
+# With u = 2^-53: |t - T| <= u T (`_theta_floats`); the sups (p' - 2)/2
+# and the primes p are exact in both precisions; each double operation
+# rounds by at most u |result| and each 96-bit one by 2^-96 |result|.
+#   - Lemma, s = t - sup: |s - S| <= u T + u |s| + 2^-96 |S| < 1.01 u
+#     (t + |s|); d = 4u (t + |s|).
+#   - Dusart reads log p as L = t_p - t_prev, and |L - L96| < 1.01 u
+#     (t_p + t_prev + 2L) <= e = 4u (t_p + t_prev + L).  This is the
+#     cancellation: e / L grows like u theta(p) / log p.  While
+#     e <= L / 1000, (L96 / L)^2 is within 2.001 e / L of 1, and with the
+#     four roundings of B = c p / (L L) in either precision (c, c p, L L,
+#     the quotient) B is off by less than B (2.01 e / L + 4.03u) <=
+#     dB = B (3 e / L + 8u).  Past that dB is infinite, so the point goes
+#     to 96 bits (no table that fits in memory gets there).  A side with
+#     theta value t_v has A = |t_v - p| and s = B - A, and |s - S| <
+#     dB / 1.49 + 1.01 u (t_v + A + |s|) <= d = dB + 4u (t_v + A + |s|).
+# So d is at least 1.49 times the error bound it stands for, which also
+# covers the rounding in computing d.
+_U = 2.0**-53
+
+
+def _theta_floats(table):
+    """The stored sums as doubles, each rounded to nearest: the mantissa
+    (at most prec_bits bits) converts correctly rounded, and the power of
+    two scales it exactly."""
+    ldexp = math.ldexp
+    raw = map(attrgetter("_mpf_"), table.theta_prefix)
+    return array("d", [ldexp(-man if sign else man, exp) for sign, man, exp, _ in raw])
+
+
+def _lemma_screen(table):
+    """(s, d) in index order over the lemma's points: theta(2) against
+    1/2, then theta(p) against (p' - 2)/2, then the tail to the limit."""
+    t = _theta_floats(table)
+    sups = array("d", [0.5])
+    sups.extend([(p - 2) / 2 for p in table.primes[1:]])
+    sups.append((table.limit - 2) / 2)
+    values = t[:1] + t
+    slack = array("d", map(sub, values, sups))
+    return slack, array("d", map(mul, repeat(4 * _U), map(add, values, map(abs, slack))))
+
+
+def _dusart_screen(table):
+    """(s, d) in index order over Dusart's points: the left limit, then
+    the jump, at each prime."""
+    coeff = DUSART_COEFF.numerator / DUSART_COEFF.denominator
+    u4, u8, inf = 4 * _U, 8 * _U, math.inf
+    slack, delta = array("d"), array("d")
+    put_s, put_d = slack.append, delta.append
+    prev = 0.0
+    for p, th in zip(table.primes, _theta_floats(table)):
+        log_p = th - prev
+        e = u4 * (th + prev + log_p)
+        if 1000 * e <= log_p:
+            bound = coeff * p / (log_p * log_p)
+            d_bound = bound * (3 * e / log_p + u8)
+        else:
+            bound, d_bound = 0.0, inf
+        a = abs(prev - p)
+        s = bound - a
+        put_s(s)
+        put_d(d_bound + u4 * (prev + a + abs(s)))
+        a = abs(th - p)
+        s = bound - a
+        put_s(s)
+        put_d(d_bound + u4 * (th + a + abs(s)))
+        prev = th
+    return slack, delta
+
+
+def _candidates(screen, margin):
+    """Indices, in order, of the points the screen cannot settle: lower
+    end s - d at most max(min(s + d), margin)."""
+    slack, delta = screen
+    cut = max(float(margin), min(map(add, slack, delta)))
+    return compress(range(len(slack)), map(cut.__ge__, map(sub, slack, delta)))
+
+
 def verify_lemma_theta(table):
     """Check theta(2x + 2) > x for every x >= 0 with 2x + 2 <= table.limit.
 
@@ -191,27 +296,26 @@ def verify_lemma_theta(table):
     prefix = table.theta_prefix
     n = len(ps)
     margin = _screen_margin(table)
+    ctx = _interval_context()
     violations = []
     min_slack = None
     min_x = None
-    checked = 0
     with mpmath.workprec(table.prec_bits):
-        sups = [(0, Fraction(1, 2))]
-        sups.extend((i, Fraction(ps[i + 1] - 2, 2)) for i in range(n - 1))
-        sups.append((n - 1, Fraction(table.limit - 2, 2)))
-        for idx, sup in sups:
+        for k in _candidates(_lemma_screen(table), margin):
+            # point k: theta(p_idx) against the segment's sup
+            idx = max(k - 1, 0)
+            sup = Fraction(1, 2) if k == 0 else Fraction((ps[k] if k < n else table.limit) - 2, 2)
             sup_mpf = mpmath.mpf(sup.numerator) / sup.denominator
             slack = prefix[idx] - sup_mpf
-            checked += 1
             if min_slack is None or slack < min_slack:
                 min_slack = slack
                 min_x = sup_mpf
             if slack < margin and (
-                slack <= -margin or _below(_theta_enclosure(ps[: idx + 1]), sup, table.prec_bits)
+                slack <= -margin or _below(ctx, _theta_enclosure(ps[: idx + 1]), sup, table.prec_bits)
             ):
                 violations.append((ps[idx], sup, slack))
     return CheckReport(
-        "theta(2x+2) > x", not violations, checked, min_slack, min_x, tuple(violations), table.prec_bits
+        "theta(2x+2) > x", not violations, n + 1, min_slack, min_x, tuple(violations), table.prec_bits
     )
 
 
@@ -222,36 +326,36 @@ def verify_dusart(table):
     if table.limit < 10:
         raise ValueError("table limit below 10 leaves nothing worth checking")
     ps = table.primes
+    prefix = table.theta_prefix
     margin = _screen_margin(table)
+    ctx = _interval_context()
     violations = []
     min_slack = None
     min_x = None
-    checked = 0
     with mpmath.workprec(table.prec_bits):
         coeff = mpmath.mpf(DUSART_COEFF.numerator) / DUSART_COEFF.denominator
-        prev = mpmath.mpf(0)
-        for i, p in enumerate(ps):
-            th = table.theta_prefix[i]
+        for k in _candidates(_dusart_screen(table), margin):
+            i, jump = divmod(k, 2)
+            p = ps[i]
+            th = prefix[i]
+            prev = prefix[i - 1] if i else mpmath.mpf(0)
             # log p recovered from adjacent prefix sums; its rounding is
             # part of the screen margin
             logp = th - prev
             bound = coeff * p / (logp * logp)
-            for value in (prev, th):
-                slack = bound - abs(value - p)
-                checked += 1
-                if min_slack is None or slack < min_slack:
-                    min_slack = slack
-                    min_x = p
-                if slack < margin and (
-                    slack <= -margin
-                    or _certified(_dusart_slack(ps[: i + (value is th)], p), _sign, table.prec_bits) < 0
-                ):
-                    violations.append((p, "jump" if value is th else "left-limit", slack))
-            prev = th
+            slack = bound - abs((th if jump else prev) - p)
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+                min_x = p
+            if slack < margin and (
+                slack <= -margin
+                or _certified(ctx, _dusart_slack(ps[: i + jump], p), _sign, table.prec_bits) < 0
+            ):
+                violations.append((p, "jump" if jump else "left-limit", slack))
     return CheckReport(
         "|theta(x) - x| < 3.965 x / log(x)^2",
         not violations,
-        checked,
+        2 * len(ps),
         min_slack,
         min_x,
         tuple(violations),
@@ -270,6 +374,7 @@ def failure_intervals(table, x_max=None):
     if table.limit < 2 * cap:
         raise ValueError(f"table limit {table.limit} below 2*x_max = {float(2 * cap)}")
     ps = table.primes
+    ctx = _interval_context()
     intervals = []
     with mpmath.workprec(table.prec_bits):
         # x in [0, 1): theta(2x) = 0 <= x always, so the failure set opens
@@ -284,8 +389,8 @@ def failure_intervals(table, x_max=None):
                 raise ValueError("table too small: need the next prime past the cap")
             primorial *= p
             seg_hi = min(Fraction(ps[i + 1], 2), cap)
-            theta_p = lambda ctx: ctx.log(primorial)
-            if _below(theta_p, seg_lo, table.prec_bits):
+            theta_p = lambda c: c.log(primorial)
+            if _below(ctx, theta_p, seg_lo, table.prec_bits):
                 # fails on the whole segment; cur is open: theta(p_prev) < theta(p) < seg_lo
                 cur[3] = seg_hi
                 continue
@@ -293,7 +398,7 @@ def failure_intervals(table, x_max=None):
                 intervals.append(cur)
             # failure starts inside the segment, at theta(p) = log(primorial),
             # unless theta(p) clears the segment too
-            inside = _below(theta_p, seg_hi, table.prec_bits)
+            inside = _below(ctx, theta_p, seg_hi, table.prec_bits)
             cur = [table.theta_prefix[i], primorial, None, seg_hi] if inside else None
         if cur is not None:
             intervals.append(cur)
@@ -308,10 +413,11 @@ def exceptional_levels(table):
     """All integers N >= 1 with theta(2 log N) <= log N, i.e. the levels
     whose log falls in a failure interval [log m, hi) of the unshifted
     inequality: m <= N < exp(hi)."""
+    ctx = _interval_context()
     out = []
     for iv in failure_intervals(table):
         # exp of a nonzero rational is irrational, so a narrow enough
         # enclosure of exp(hi) always lies between two integers
-        exp_hi = _certified(lambda ctx: ctx.exp(_rational(ctx, iv.hi_exact)), _floor, table.prec_bits)
+        exp_hi = _certified(ctx, lambda c: c.exp(_rational(c, iv.hi_exact)), _floor, table.prec_bits)
         out.extend(range(iv.lo_log_arg, exp_hi + 1))
     return tuple(out)

@@ -15,6 +15,7 @@ from array import array
 from dataclasses import dataclass
 
 import mpmath
+from mpmath import libmp
 
 try:
     from gmpy2 import mpz as _mpz
@@ -66,12 +67,14 @@ def sieve(limit, prec_bits=DEFAULT_THETA_BITS):
         raise ValueError("theta precision below 80 bits is not supported")
     flags = _sieve_flags(limit)
     ps = [i for i in range(2, limit + 1) if flags[i]]
+    # the raw-tuple form of total += mpmath.log(p) under workprec(prec_bits):
+    # the same libmp calls at the same precision and rounding, bit for bit
+    log, add, from_int, make_mpf = libmp.mpf_log, libmp.mpf_add, libmp.from_int, mpmath.mp.make_mpf
     prefix = []
-    with mpmath.workprec(prec_bits):
-        total = mpmath.mpf(0)
-        for p in ps:
-            total += mpmath.log(p)
-            prefix.append(total)
+    total = libmp.fzero
+    for p in ps:
+        total = add(total, log(from_int(p), prec_bits, "n"), prec_bits, "n")
+        prefix.append(make_mpf(total))
     return PrimeTable(limit, tuple(ps), tuple(prefix), prec_bits)
 
 

@@ -18,6 +18,11 @@ def table_10k():
 
 
 @pytest.fixture(scope="session")
+def table_100k():
+    return sieve(100_000)
+
+
+@pytest.fixture(scope="session")
 def dusart_tie_coeffs(table64):
     """Rationals within 1e-30 below and above the Dusart constant at which
     the left limit at x = 59 (theta(53) against 59) is an exact tie."""
@@ -35,7 +40,7 @@ def undecidable_enclosures(monkeypatch):
 
     certified = b._certified
 
-    def widened(enclose, verdict, prec_bits):
-        return certified(lambda ctx: enclose(ctx) + ctx.mpf([-1, 1]), verdict, prec_bits)
+    def widened(ctx, enclose, verdict, prec_bits):
+        return certified(ctx, lambda c: enclose(c) + c.mpf([-1, 1]), verdict, prec_bits)
 
     monkeypatch.setattr(b, "_certified", widened)

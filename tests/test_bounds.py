@@ -226,7 +226,8 @@ def test_theta_comparison_near_tie_reruns_at_higher_precision(table64):
         with mpmath.workprec(400):
             diff = mpmath.log(math.prod(ps[: idx + 1])) - mpmath.mpf(tie.numerator) / tie.denominator
             assert abs(diff) > mpmath.mpf(2) ** -300
-        assert b._below(b._theta_enclosure(ps[: idx + 1]), tie, table64.prec_bits) == (diff < 0)
+        below = b._below(b._interval_context(), b._theta_enclosure(ps[: idx + 1]), tie, table64.prec_bits)
+        assert below == (diff < 0)
     # the sweep sends a stored theta pushed within the margin of its
     # segment's bound to the exact primes: theta(7) = log 210 clears 9/2
     idx = ps.index(7)
@@ -292,3 +293,173 @@ def test_failure_intervals_tiny_cap(table64):
     assert len(ivs) == 1
     assert ivs[0].hi_exact == Fraction(1, 2)
     assert ivs[0].lo_log_arg == 1
+
+
+# --- all-points 96-bit oracle for the screened sweeps ---------------------
+#
+# The sweeps as they were before the double screen: every critical point
+# through mpmath at the table's precision, with the same margin and the
+# same `_certified` escalation.  `slacks`, if given, collects the 96-bit
+# slack of every point in index order.
+
+
+def oracle_lemma_theta(table, slacks=None):
+    import heckescan.bounds as b
+
+    ps = table.primes
+    prefix = table.theta_prefix
+    n = len(ps)
+    margin = b._screen_margin(table)
+    ctx = b._interval_context()
+    violations = []
+    min_slack = None
+    min_x = None
+    checked = 0
+    with mpmath.workprec(table.prec_bits):
+        sups = [(0, Fraction(1, 2))]
+        sups.extend((i, Fraction(ps[i + 1] - 2, 2)) for i in range(n - 1))
+        sups.append((n - 1, Fraction(table.limit - 2, 2)))
+        for idx, sup in sups:
+            sup_mpf = mpmath.mpf(sup.numerator) / sup.denominator
+            slack = prefix[idx] - sup_mpf
+            if slacks is not None:
+                slacks.append(slack)
+            checked += 1
+            if min_slack is None or slack < min_slack:
+                min_slack = slack
+                min_x = sup_mpf
+            if slack < margin and (
+                slack <= -margin or b._below(ctx, b._theta_enclosure(ps[: idx + 1]), sup, table.prec_bits)
+            ):
+                violations.append((ps[idx], sup, slack))
+    return b.CheckReport(
+        "theta(2x+2) > x", not violations, checked, min_slack, min_x, tuple(violations), table.prec_bits
+    )
+
+
+def oracle_dusart(table, slacks=None):
+    import heckescan.bounds as b
+
+    ps = table.primes
+    margin = b._screen_margin(table)
+    ctx = b._interval_context()
+    violations = []
+    min_slack = None
+    min_x = None
+    checked = 0
+    prec = table.prec_bits
+    with mpmath.workprec(prec):
+        coeff = mpmath.mpf(b.DUSART_COEFF.numerator) / b.DUSART_COEFF.denominator
+        prev = mpmath.mpf(0)
+        for i, p in enumerate(ps):
+            th = table.theta_prefix[i]
+            logp = th - prev
+            bound = coeff * p / (logp * logp)
+            for value in (prev, th):
+                slack = bound - abs(value - p)
+                if slacks is not None:
+                    slacks.append(slack)
+                checked += 1
+                if min_slack is None or slack < min_slack:
+                    min_slack = slack
+                    min_x = p
+                if slack < margin and (
+                    slack <= -margin
+                    or b._certified(ctx, b._dusart_slack(ps[: i + (value is th)], p), b._sign, prec) < 0
+                ):
+                    violations.append((p, "jump" if value is th else "left-limit", slack))
+            prev = th
+    return b.CheckReport(
+        "|theta(x) - x| < 3.965 x / log(x)^2",
+        not violations,
+        checked,
+        min_slack,
+        min_x,
+        tuple(violations),
+        table.prec_bits,
+    )
+
+
+def _bits(value):
+    """A report field with every mpf replaced by its raw tuple."""
+    if isinstance(value, mpmath.mpf):
+        return value._mpf_
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _fields(rep):
+    return {f.name: _bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
+
+
+@pytest.mark.parametrize("coeff", [Fraction(3965, 1000), Fraction(3964, 1000)])
+@pytest.mark.parametrize("size", ["table_10k", "table_100k"])
+def test_screened_sweeps_equal_the_all_points_oracle(size, coeff, request, monkeypatch):
+    import heckescan.bounds as b
+
+    table = request.getfixturevalue(size)
+    monkeypatch.setattr(b, "DUSART_COEFF", coeff)
+    for sweep, oracle in ((verify_lemma_theta, oracle_lemma_theta), (verify_dusart, oracle_dusart)):
+        assert _fields(sweep(table)) == _fields(oracle(table)), sweep.__name__
+    # the smaller constant breaks through at the x = 59 left limit
+    assert [(p, side) for p, side, _ in verify_dusart(table).violations] == (
+        [] if coeff == DUSART_COEFF else [(59, "left-limit")]
+    )
+
+
+@pytest.mark.parametrize(
+    "screen, oracle", [("_lemma_screen", oracle_lemma_theta), ("_dusart_screen", oracle_dusart)]
+)
+def test_screen_bound_covers_the_double_error_at_every_point(table_100k, screen, oracle):
+    import heckescan.bounds as b
+
+    slack, delta = getattr(b, screen)(table_100k)
+    want = []
+    oracle(table_100k, slacks=want)
+    assert len(slack) == len(delta) == len(want)
+    for s, d, exact in zip(slack, delta, want):
+        assert abs(Fraction(s) - _exact(exact)) <= Fraction(d)
+    # and the screen settles all but a handful of the points
+    assert len(list(b._candidates((slack, delta), b._screen_margin(table_100k)))) <= 4
+
+
+@pytest.mark.parametrize("shift", [-(2**-80), 2**-80])
+def test_screen_tie_goes_to_the_96_bit_minimum(table_10k, shift):
+    # theta(13) pushed down to 15/2 + (log 2 - 1/2) + shift, so the
+    # segment of 13 and the first segment (slack log 2 - 1/2) tie in
+    # doubles but not in 96 bits
+    import heckescan.bounds as b
+
+    idx = table_10k.primes.index(13)
+    stored = list(table_10k.theta_prefix)
+    with mpmath.workprec(table_10k.prec_bits):
+        stored[idx] = mpmath.mpf(15) / 2 + (stored[0] - mpmath.mpf(1) / 2) + shift
+    table = dataclasses.replace(table_10k, theta_prefix=tuple(stored))
+    slack, delta = b._lemma_screen(table)
+    first, nudged = 0, idx + 1  # lemma point k reads theta(p_(k-1)), k >= 1
+    assert abs(slack[first] - slack[nudged]) <= delta[first] + delta[nudged]
+    slacks = []
+    want = oracle_lemma_theta(table, slacks=slacks)
+    assert slacks[nudged] != slacks[first]
+    rep = verify_lemma_theta(table)
+    assert _fields(rep) == _fields(want)
+    assert rep.min_slack_x == (7.5 if slacks[nudged] < slacks[first] else 0.5)
+    assert (slacks[nudged] < slacks[first]) == (shift < 0)
+
+
+def test_screen_keeps_a_near_tie_that_is_not_the_minimum(table64, dusart_tie_coeffs, monkeypatch):
+    # the x = 59 left limit a hair below its bound (a violation only the
+    # exact primes can decide), while a stored theta(61) pushed up by 1000
+    # makes far deeper violations at 61 (its log 61 reads as about 1004):
+    # all must be reported
+    import heckescan.bounds as b
+
+    monkeypatch.setattr(b, "DUSART_COEFF", dusart_tie_coeffs[0])
+    stored = list(table64.theta_prefix)
+    stored[-1] += 1000
+    table = dataclasses.replace(table64, theta_prefix=tuple(stored))
+    rep = verify_dusart(table)
+    assert _fields(rep) == _fields(oracle_dusart(table))
+    assert [(p, side) for p, side, _ in rep.violations] == [(59, "left-limit"), (61, "left-limit"), (61, "jump")]
+    assert rep.min_slack_x == 61 and rep.min_slack < -900

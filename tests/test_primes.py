@@ -47,6 +47,19 @@ def test_sieve_rejects_low_precision():
         sieve(100, prec_bits=64)
 
 
+@pytest.mark.parametrize("bits", [80, 96, 128])
+def test_sieve_prefix_equals_sequential_mpmath_log_sum(bits):
+    table = sieve(10**4, bits)
+    want = []
+    with mpmath.workprec(bits):
+        total = mpmath.mpf(0)
+        for p in table.primes:
+            total += mpmath.log(p)
+            want.append(total._mpf_)
+    assert [x._mpf_ for x in table.theta_prefix] == want
+    assert table.prec_bits == bits
+
+
 def test_sieve_membership_matches_trial_division(table_10k):
     members = set(table_10k.primes)
     for n in range(2, 10001):
