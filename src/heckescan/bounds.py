@@ -16,11 +16,13 @@ against one margin per table that bounds their accumulated rounding
 `_certified`: an interval enclosure from exact data (theta as logs of exact
 prime products), evaluated at prec_bits and doubled until it decides, or
 ArithmeticError after five tries.
+
+The bound functions take one L = log n per level on raw libmp tuples at
+prec_bits, round to nearest, and never set mpmath's global precision.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -29,8 +31,10 @@ from itertools import compress, repeat
 from operator import add, attrgetter, mul, sub
 
 import mpmath
+from mpmath.libmp import fone, from_int, from_rational, mpf_add, mpf_log, mpf_mul, mpf_mul_int
+from mpmath.libmp import mpf_pow, mpf_pow_int, mpf_sqrt
 
-from .primes import DEFAULT_THETA_BITS, smallest_nondivisor_prime
+from .primes import DEFAULT_THETA_BITS, _require_prec_bits, smallest_nondivisor_prime
 
 # Quoted constants, kept as exact decimal literals.
 DUSART_COEFF = Fraction(3965, 1000)
@@ -44,20 +48,36 @@ def murty_bound(n):
     return smallest_nondivisor_prime(n) ** 2
 
 
+def _log_level(n, prec):
+    """L = log n as a raw tuple, after the checks the bound functions share."""
+    if n < 1:
+        raise ValueError("level must be a positive integer")
+    _require_prec_bits(prec)
+    return mpf_log(from_int(n), prec, "n")
+
+
+def _square_plus(big_l, t, prec):  # (L + t)**2
+    return mpf_pow_int(mpf_add(big_l, t, prec, "n"), 2, prec, "n")
+
+
+def _closed_form(big_l, prec):
+    return mpmath.mp.make_mpf(mpf_mul_int(_square_plus(big_l, fone, prec), 4, prec, "n"))
+
+
+def _asymptotic(big_l, prec):
+    log_l = mpf_log(big_l, prec, "n")
+    terms = (
+        mpf_pow(big_l, from_rational(21, 40, prec, "n"), prec, "n"),  # L^0.525
+        mpf_mul(mpf_sqrt(big_l, prec, "n"), log_l, prec, "n"),
+        mpf_pow_int(log_l, 2, prec, "n"),
+    )
+    return tuple(mpmath.mp.make_mpf(_square_plus(big_l, t, prec)) for t in terms)
+
+
 def main_bound(n, prec_bits=DEFAULT_THETA_BITS):
     """4*(log n + 1)**2 as an extended-precision real; integer callers
     take the floor."""
-    if n < 1:
-        raise ValueError("level must be a positive integer")
-    with mpmath.workprec(prec_bits):
-        return 4 * (mpmath.log(n) + 1) ** 2
-
-
-@functools.lru_cache
-def _exponent_0525(prec_bits):
-    """0.525 rounded to prec_bits, parsed once per precision."""
-    with mpmath.workprec(prec_bits):
-        return mpmath.mpf("0.525")
+    return _closed_form(_log_level(n, prec_bits), prec_bits)
 
 
 def asymptotic_bounds(n, prec_bits=DEFAULT_THETA_BITS):
@@ -67,18 +87,12 @@ def asymptotic_bounds(n, prec_bits=DEFAULT_THETA_BITS):
     log log n is defined and positive."""
     if n < 3:
         raise ValueError("asymptotic expressions need n >= 3 (log log n > 0)")
-    with mpmath.workprec(prec_bits):
-        big_l = mpmath.log(n)
-        log_l = mpmath.log(big_l)
-        e1 = (big_l + big_l ** _exponent_0525(prec_bits)) ** 2
-        e2 = (big_l + mpmath.sqrt(big_l) * log_l) ** 2
-        e3 = (big_l + log_l**2) ** 2
-        return (e1, e2, e3)
+    return _asymptotic(_log_level(n, prec_bits), prec_bits)
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All bound values for one level."""
+    """All bound values for one level, from one L = log n."""
 
     level: int
     p: int
@@ -90,8 +104,9 @@ class BoundReport:
 
 def bound_report(n, prec_bits=DEFAULT_THETA_BITS):
     p = smallest_nondivisor_prime(n)
-    asym = asymptotic_bounds(n, prec_bits) if n >= 3 else None
-    return BoundReport(n, p, p * p, main_bound(n, prec_bits), asym, prec_bits)
+    big_l = _log_level(n, prec_bits)
+    asym = _asymptotic(big_l, prec_bits) if n >= 3 else None
+    return BoundReport(n, p, p * p, _closed_form(big_l, prec_bits), asym, prec_bits)
 
 
 @dataclass(frozen=True)

@@ -59,12 +59,17 @@ def _sieve_flags(limit):
     return flags
 
 
+def _require_prec_bits(prec_bits):
+    """The precision floor shared by the theta tables and the bound functions."""
+    if prec_bits < 80:
+        raise ValueError("precision below 80 bits is not supported")
+
+
 def sieve(limit, prec_bits=DEFAULT_THETA_BITS):
     """Sieve all primes <= limit and accumulate the theta prefix sums."""
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
-    if prec_bits < 80:
-        raise ValueError("theta precision below 80 bits is not supported")
+    _require_prec_bits(prec_bits)
     flags = _sieve_flags(limit)
     ps = [i for i in range(2, limit + 1) if flags[i]]
     # the raw-tuple form of total += mpmath.log(p) under workprec(prec_bits):

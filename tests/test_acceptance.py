@@ -103,7 +103,8 @@ def test_acceptance_02_scan_to_1000_no_duplicates(tmp_path):
         600,
         f"500 records over k=2..1000, zero duplicate (dim, trace) pairs; "
         f"4-worker speedup {speedup:.2f}x (machine ceiling {ceiling:.2f}x, "
-        f"{os.cpu_count()} cores)",
+        f"{os.cpu_count()} cores); re-scan of 900..1000 {t_serial:.2f}s serial, "
+        f"{t_parallel:.2f}s with 4 workers",
     )
 
 

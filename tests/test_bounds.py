@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -17,6 +20,7 @@ from heckescan.bounds import (
     verify_dusart,
     verify_lemma_theta,
 )
+from heckescan.primes import sieve
 
 EXPECTED_LEVELS = (
     tuple(range(1, 5)) + tuple(range(6, 13)) + tuple(range(30, 34)) + tuple(range(210, 245))
@@ -102,6 +106,97 @@ def test_asymptotic_near_e_to_the_e():
     with mpmath.workprec(96):
         target = (mpmath.e + 1) ** 2
         assert abs(e3 - target) < mpmath.mpf("0.2")
+
+
+# --- workprec oracle for the bound functions -------------------------------
+#
+# The bound functions as they were before they moved onto raw libmp tuples:
+# mpf arithmetic under workprec, one log n per function.
+
+
+def oracle_main_bound(n, prec_bits):
+    with mpmath.workprec(prec_bits):
+        return 4 * (mpmath.log(n) + 1) ** 2
+
+
+def oracle_asymptotic_bounds(n, prec_bits):
+    with mpmath.workprec(prec_bits):
+        big_l = mpmath.log(n)
+        log_l = mpmath.log(big_l)
+        e1 = (big_l + big_l ** mpmath.mpf("0.525")) ** 2
+        e2 = (big_l + mpmath.sqrt(big_l) * log_l) ** 2
+        e3 = (big_l + log_l**2) ** 2
+        return (e1, e2, e3)
+
+
+def _oracle_levels():
+    rng = random.Random(20100)
+    return (
+        list(range(1, 3001))
+        + [rng.randint(1, 10**12) for _ in range(2000)]
+        + [10**300 + rng.randint(-(10**9), 10**9) for _ in range(50)]
+    )
+
+
+@pytest.mark.parametrize("prec_bits", [80, 96, 128])
+def test_bound_functions_equal_the_workprec_oracle(prec_bits):
+    for n in _oracle_levels():
+        main = oracle_main_bound(n, prec_bits)._mpf_
+        asym = tuple(v._mpf_ for v in oracle_asymptotic_bounds(n, prec_bits)) if n >= 3 else None
+        assert main_bound(n, prec_bits)._mpf_ == main, n
+        if asym is not None:
+            assert tuple(v._mpf_ for v in asymptotic_bounds(n, prec_bits)) == asym, n
+        rep = bound_report(n, prec_bits)
+        assert (rep.level, rep.prec_bits) == (n, prec_bits)
+        assert rep.murty_bound == rep.p**2 == murty_bound(n)
+        assert rep.main_bound._mpf_ == main, n
+        assert _bits(rep.asymptotic) == asym, n
+
+
+def test_bound_functions_keep_their_level_checks():
+    for n in (0, -6):
+        for fn in (main_bound, asymptotic_bounds, bound_report):
+            with pytest.raises(ValueError):
+                fn(n)
+    assert bound_report(1).asymptotic is None
+    assert bound_report(2).asymptotic is None
+
+
+@pytest.mark.parametrize("fn", [main_bound, asymptotic_bounds, bound_report, sieve])
+def test_precision_floor_of_80_bits(fn):
+    for prec_bits in (2, 8, 79):
+        with pytest.raises(ValueError, match="precision below 80 bits is not supported"):
+            fn(10, prec_bits)
+    assert fn(10, 80)
+
+
+def test_bound_report_is_thread_safe_across_precisions():
+    # reports at 80 and 128 bits interleaved as finely as the interpreter
+    # allows must equal the serial ones and leave mpmath's precision alone
+    levels = range(3, 2003)
+    precs = (80, 128, 80, 128)
+    want = {prec: [bound_report(n, prec) for n in levels] for prec in set(precs)}
+    mp_prec = mpmath.mp.prec
+    got = [None] * len(precs)
+
+    def work(i):
+        got[i] = [bound_report(n, precs[i]) for n in levels]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(precs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    mismatches = sum(
+        _fields(a) != _fields(b) for i, prec in enumerate(precs) for a, b in zip(got[i], want[prec])
+    )
+    assert mismatches == 0
+    assert mpmath.mp.prec == mp_prec
 
 
 def test_verify_lemma_small_table(table_10k):
