@@ -17,8 +17,10 @@ against one margin per table that bounds their accumulated rounding
 prime products), evaluated at prec_bits and doubled until it decides, or
 ArithmeticError after five tries.
 
-The bound functions take one L = log n per level on raw libmp tuples at
-prec_bits, round to nearest, and never set mpmath's global precision.
+The bound functions take one L = log n per level.  Every value here is
+computed on raw libmp tuples at prec_bits, round to nearest, or in a
+private interval context: nothing reads or sets mpmath's global precision,
+so tables and reports of any precision can be used from threads at once.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from itertools import compress, repeat
 from operator import add, attrgetter, mul, sub
 
 import mpmath
-from mpmath.libmp import fone, from_int, from_rational, mpf_add, mpf_log, mpf_mul, mpf_mul_int
-from mpmath.libmp import mpf_pow, mpf_pow_int, mpf_sqrt
+from mpmath.libmp import fone, from_float, from_int, from_rational, fzero, mpf_abs, mpf_add, mpf_div
+from mpmath.libmp import mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow, mpf_pow_int
+from mpmath.libmp import mpf_sqrt, mpf_sub
 
 from .primes import DEFAULT_THETA_BITS, _require_prec_bits, smallest_nondivisor_prime
 
@@ -41,6 +44,8 @@ DUSART_COEFF = Fraction(3965, 1000)
 UNSHIFTED_X_MAX = Fraction(8356, 1000)
 
 ASYMPTOTIC_NOTE = "shape only: implied constants taken as 1"
+
+_make_mpf = mpmath.mp.make_mpf
 
 
 def murty_bound(n):
@@ -61,7 +66,7 @@ def _square_plus(big_l, t, prec):  # (L + t)**2
 
 
 def _closed_form(big_l, prec):
-    return mpmath.mp.make_mpf(mpf_mul_int(_square_plus(big_l, fone, prec), 4, prec, "n"))
+    return _make_mpf(mpf_mul_int(_square_plus(big_l, fone, prec), 4, prec, "n"))
 
 
 def _asymptotic(big_l, prec):
@@ -71,7 +76,7 @@ def _asymptotic(big_l, prec):
         mpf_mul(mpf_sqrt(big_l, prec, "n"), log_l, prec, "n"),
         mpf_pow_int(log_l, 2, prec, "n"),
     )
-    return tuple(mpmath.mp.make_mpf(_square_plus(big_l, t, prec)) for t in terms)
+    return tuple(_make_mpf(_square_plus(big_l, t, prec)) for t in terms)
 
 
 def main_bound(n, prec_bits=DEFAULT_THETA_BITS):
@@ -173,9 +178,18 @@ def _rational(ctx, r):
     return ctx.mpf(r.numerator) / r.denominator
 
 
+def _quotient(r, prec):
+    """r at prec, rounded as mpf(r.numerator) / r.denominator rounds it."""
+    return mpf_div(from_int(r.numerator, prec, "n"), from_int(r.denominator), prec, "n")
+
+
+def _minus(theta_p, x):
+    return lambda ctx: theta_p(ctx) - _rational(ctx, x)
+
+
 def _below(ctx, theta_p, x, prec_bits):
     """theta < x for an enclosure theta_p of theta and an exact rational x."""
-    return _certified(ctx, lambda c: theta_p(c) - _rational(c, x), _sign, prec_bits) < 0
+    return _certified(ctx, _minus(theta_p, x), _sign, prec_bits) < 0
 
 
 def _dusart_slack(primes, p):
@@ -210,7 +224,7 @@ def _screen_margin(table):
     n, limit = len(table.primes), table.limit
     err = 4 * (n + 2) * (float(table.theta_prefix[-1]) + 2) * u
     amp = max(6.01, limit / math.log(limit) ** 3)
-    return mpmath.mpf((1 + 6 * float(DUSART_COEFF) * amp) * (err + 30 * limit * u))
+    return _make_mpf(from_float((1 + 6 * float(DUSART_COEFF) * amp) * (err + 30 * limit * u)))
 
 
 # The double screen.  Each sweep first computes every slack s in doubles
@@ -298,6 +312,28 @@ def _candidates(screen, margin):
     return compress(range(len(slack)), map(cut.__ge__, map(sub, slack, delta)))
 
 
+def _sweep(name, table, screen, point, points_checked):
+    """The report of one sweep.  point(k) gives, for each point k the screen
+    cannot settle, (x, slack, where, enclose): the slack as a raw tuple at
+    prec_bits, and enclose() its interval enclosure for `_certified`."""
+    margin = _screen_margin(table)
+    top, floor = margin._mpf_, mpf_neg(margin._mpf_)
+    ctx = _interval_context()
+    violations = []
+    min_slack = min_x = None
+    for k in _candidates(screen, margin):
+        x, slack, where, enclose = point(k)
+        if min_slack is None or mpf_lt(slack, min_slack):
+            min_slack, min_x = slack, x
+        if mpf_lt(slack, top) and (
+            mpf_le(slack, floor) or _certified(ctx, enclose(), _sign, table.prec_bits) < 0
+        ):
+            violations.append((*where, _make_mpf(slack)))
+    return CheckReport(
+        name, not violations, points_checked, _make_mpf(min_slack), min_x, tuple(violations), table.prec_bits
+    )
+
+
 def verify_lemma_theta(table):
     """Check theta(2x + 2) > x for every x >= 0 with 2x + 2 <= table.limit.
 
@@ -307,31 +343,16 @@ def verify_lemma_theta(table):
     initial segment theta(2) >= 1/2 and the tail up to the table limit."""
     if table.limit < 5:
         raise ValueError("table limit below 5 leaves nothing to check")
-    ps = table.primes
-    prefix = table.theta_prefix
-    n = len(ps)
-    margin = _screen_margin(table)
-    ctx = _interval_context()
-    violations = []
-    min_slack = None
-    min_x = None
-    with mpmath.workprec(table.prec_bits):
-        for k in _candidates(_lemma_screen(table), margin):
-            # point k: theta(p_idx) against the segment's sup
-            idx = max(k - 1, 0)
-            sup = Fraction(1, 2) if k == 0 else Fraction((ps[k] if k < n else table.limit) - 2, 2)
-            sup_mpf = mpmath.mpf(sup.numerator) / sup.denominator
-            slack = prefix[idx] - sup_mpf
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-                min_x = sup_mpf
-            if slack < margin and (
-                slack <= -margin or _below(ctx, _theta_enclosure(ps[: idx + 1]), sup, table.prec_bits)
-            ):
-                violations.append((ps[idx], sup, slack))
-    return CheckReport(
-        "theta(2x+2) > x", not violations, n + 1, min_slack, min_x, tuple(violations), table.prec_bits
-    )
+    ps, n, prec = table.primes, len(table.primes), table.prec_bits
+
+    def point(k):  # theta(p_idx) against the segment's sup
+        idx = max(k - 1, 0)
+        sup = Fraction(1, 2) if k == 0 else Fraction((ps[k] if k < n else table.limit) - 2, 2)
+        sup_t = _quotient(sup, prec)
+        slack = mpf_sub(table.theta_prefix[idx]._mpf_, sup_t, prec, "n")
+        return _make_mpf(sup_t), slack, (ps[idx], sup), lambda: _minus(_theta_enclosure(ps[: idx + 1]), sup)
+
+    return _sweep("theta(2x+2) > x", table, _lemma_screen(table), point, n + 1)
 
 
 def verify_dusart(table):
@@ -340,42 +361,23 @@ def verify_dusart(table):
     x > 1.  Reports the minimal slack and where it occurs."""
     if table.limit < 10:
         raise ValueError("table limit below 10 leaves nothing worth checking")
-    ps = table.primes
-    prefix = table.theta_prefix
-    margin = _screen_margin(table)
-    ctx = _interval_context()
-    violations = []
-    min_slack = None
-    min_x = None
-    with mpmath.workprec(table.prec_bits):
-        coeff = mpmath.mpf(DUSART_COEFF.numerator) / DUSART_COEFF.denominator
-        for k in _candidates(_dusart_screen(table), margin):
-            i, jump = divmod(k, 2)
-            p = ps[i]
-            th = prefix[i]
-            prev = prefix[i - 1] if i else mpmath.mpf(0)
-            # log p recovered from adjacent prefix sums; its rounding is
-            # part of the screen margin
-            logp = th - prev
-            bound = coeff * p / (logp * logp)
-            slack = bound - abs((th if jump else prev) - p)
-            if min_slack is None or slack < min_slack:
-                min_slack = slack
-                min_x = p
-            if slack < margin and (
-                slack <= -margin
-                or _certified(ctx, _dusart_slack(ps[: i + jump], p), _sign, table.prec_bits) < 0
-            ):
-                violations.append((p, "jump" if jump else "left-limit", slack))
-    return CheckReport(
-        "|theta(x) - x| < 3.965 x / log(x)^2",
-        not violations,
-        2 * len(ps),
-        min_slack,
-        min_x,
-        tuple(violations),
-        table.prec_bits,
-    )
+    ps, prefix, prec = table.primes, table.theta_prefix, table.prec_bits
+    coeff = _quotient(DUSART_COEFF, prec)
+
+    def point(k):
+        i, jump = divmod(k, 2)
+        p = ps[i]
+        th = prefix[i]._mpf_
+        prev = prefix[i - 1]._mpf_ if i else fzero
+        # log p recovered from adjacent prefix sums; its rounding is
+        # part of the screen margin
+        logp = mpf_sub(th, prev, prec, "n")
+        bound = mpf_div(mpf_mul_int(coeff, p, prec, "n"), mpf_mul(logp, logp, prec, "n"), prec, "n")
+        lag = mpf_abs(mpf_sub(th if jump else prev, from_int(p), prec, "n"), prec, "n")
+        side = "jump" if jump else "left-limit"
+        return p, mpf_sub(bound, lag, prec, "n"), (p, side), lambda: _dusart_slack(ps[: i + jump], p)
+
+    return _sweep("|theta(x) - x| < 3.965 x / log(x)^2", table, _dusart_screen(table), point, 2 * len(ps))
 
 
 def failure_intervals(table, x_max=None):
@@ -391,37 +393,35 @@ def failure_intervals(table, x_max=None):
     ps = table.primes
     ctx = _interval_context()
     intervals = []
-    with mpmath.workprec(table.prec_bits):
-        # x in [0, 1): theta(2x) = 0 <= x always, so the failure set opens
-        # at 0 (= log 1, which keeps the endpoint exact for exp later).
-        cur = [mpmath.mpf(0), 1, Fraction(0), min(Fraction(1), cap)]
-        primorial = 1
-        for i, p in enumerate(ps):
-            seg_lo = Fraction(p, 2)
-            if seg_lo >= cap:
-                break
-            if i + 1 >= len(ps):
-                raise ValueError("table too small: need the next prime past the cap")
-            primorial *= p
-            seg_hi = min(Fraction(ps[i + 1], 2), cap)
-            theta_p = lambda c: c.log(primorial)
-            if _below(ctx, theta_p, seg_lo, table.prec_bits):
-                # fails on the whole segment; cur is open: theta(p_prev) < theta(p) < seg_lo
-                cur[3] = seg_hi
-                continue
-            if cur is not None:
-                intervals.append(cur)
-            # failure starts inside the segment, at theta(p) = log(primorial),
-            # unless theta(p) clears the segment too
-            inside = _below(ctx, theta_p, seg_hi, table.prec_bits)
-            cur = [table.theta_prefix[i], primorial, None, seg_hi] if inside else None
+    # x in [0, 1): theta(2x) = 0 <= x always, so the failure set opens
+    # at 0 (= log 1, which keeps the endpoint exact for exp later).
+    cur = [_make_mpf(fzero), 1, Fraction(0), min(Fraction(1), cap)]
+    primorial = 1
+    for i, p in enumerate(ps):
+        seg_lo = Fraction(p, 2)
+        if seg_lo >= cap:
+            break
+        if i + 1 >= len(ps):
+            raise ValueError("table too small: need the next prime past the cap")
+        primorial *= p
+        seg_hi = min(Fraction(ps[i + 1], 2), cap)
+        theta_p = lambda c: c.log(primorial)
+        if _below(ctx, theta_p, seg_lo, table.prec_bits):
+            # fails on the whole segment; cur is open: theta(p_prev) < theta(p) < seg_lo
+            cur[3] = seg_hi
+            continue
         if cur is not None:
             intervals.append(cur)
-        out = []
-        for lo_mpf, log_arg, lo_exact, hi in intervals:
-            hi_mpf = mpmath.mpf(hi.numerator) / hi.denominator
-            out.append(FailureInterval(lo_mpf, hi_mpf, log_arg, lo_exact, hi))
-    return tuple(out)
+        # failure starts inside the segment, at theta(p) = log(primorial),
+        # unless theta(p) clears the segment too
+        inside = _below(ctx, theta_p, seg_hi, table.prec_bits)
+        cur = [table.theta_prefix[i], primorial, None, seg_hi] if inside else None
+    if cur is not None:
+        intervals.append(cur)
+    return tuple(
+        FailureInterval(lo, _make_mpf(_quotient(hi, table.prec_bits)), log_arg, lo_exact, hi)
+        for lo, log_arg, lo_exact, hi in intervals
+    )
 
 
 def exceptional_levels(table):

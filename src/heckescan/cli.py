@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 a verification failed (violated inequality,
 duplicate pair, missing difference, uncertified irreducibility),
-2 usage or input errors, 3 an internal exactness check failed (a
-division that must be exact left a remainder, the charpoly's Krylov
-matrix stayed singular modulo every lifting prime, or the interval
-enclosure of a theta near-tie still straddled it at each of five
-doubling precisions), reported as one stderr line.  A scan whose worker
+2 usage or input errors (among them an input too large to hold, which
+raises OverflowError), 3 an internal exactness check failed (a division that must
+be exact left a remainder, the charpoly's Krylov matrix stayed singular
+modulo every lifting prime, or the interval enclosure of a theta
+near-tie still straddled it at each of five doubling precisions),
+reported as one stderr line.  A scan whose worker
 process dies (BrokenProcessPool) exits 2 with one stderr line: the
 records written before the death are complete, and `scan --resume` with
 the same range finishes it.  All numeric output uses a plain decimal
@@ -32,7 +33,7 @@ from .bounds import (
     verify_dusart,
     verify_lemma_theta,
 )
-from .hecke import charpoly_t2, check_irreducible, distinguish, eigenform_coeffs, trace_t2
+from .hecke import _decimal, charpoly_t2, check_irreducible, distinguish, eigenform_coeffs, trace_t2
 from .modforms import dim_cusp, miller_basis
 from .primes import primorial_row, sieve
 from .scan import MAEDA_CAVEAT, run_scan
@@ -50,22 +51,20 @@ def emit_theta_plot(x_max, table):
         raise ValueError("x_max must be positive")
     if 2 * x_max > table.limit:
         raise ValueError(f"table limit {table.limit} below 2*x_max")
-    rows = ["x,theta_2x,y_line"]
-    with mpmath.workprec(table.prec_bits):
-        prev = mpmath.mpf(0)
-        rows.append("0.0,0.0,0.0")
-        last_x = 0.0
-        for i, p in enumerate(table.primes):
-            x = p / 2  # half-integers are exact floats
-            if x > x_max:
-                break
-            theta_val = table.theta_prefix[i]
-            rows.append(f"{x},{_fmt(prev)},{x}")
-            rows.append(f"{x},{_fmt(theta_val)},{x}")
-            prev = theta_val
-            last_x = x
-        if float(x_max) > last_x:
-            rows.append(f"{float(x_max)},{_fmt(prev)},{float(x_max)}")
+    rows = ["x,theta_2x,y_line", "0.0,0.0,0.0"]
+    prev = mpmath.mpf(0)
+    last_x = 0.0
+    for i, p in enumerate(table.primes):
+        x = p / 2  # half-integers are exact floats
+        if x > x_max:
+            break
+        theta_val = table.theta_prefix[i]
+        rows.append(f"{x},{_fmt(prev)},{x}")
+        rows.append(f"{x},{_fmt(theta_val)},{x}")
+        prev = theta_val
+        last_x = x
+    if float(x_max) > last_x:
+        rows.append(f"{float(x_max)},{_fmt(prev)},{float(x_max)}")
     return "\n".join(rows) + "\n"
 
 
@@ -88,7 +87,7 @@ def dispatch(argv):
             file=sys.stderr,
         )
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
@@ -258,7 +257,7 @@ def _cmd_charpoly(args):
     payload = {
         "weight": poly.weight,
         "degree": poly.degree,
-        "coeffs": [str(c) for c in poly.coeffs],
+        "coeffs": [_decimal(c) for c in poly.coeffs],
     }
     exit_code = 0
     verdict = None
@@ -275,7 +274,7 @@ def _cmd_charpoly(args):
         print(json.dumps(payload))
         return exit_code
     print(f"k={poly.weight} degree={poly.degree} charpoly: {poly}")
-    print("coeffs: " + " ".join(str(c) for c in poly.coeffs))
+    print("coeffs: " + " ".join(map(_decimal, poly.coeffs)))
     if args.check_irreducible and poly.degree == 0:
         print("degree 0: nothing to check")
     elif verdict is not None:

@@ -11,6 +11,7 @@ sequences.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from operator import mul
 
@@ -80,6 +81,11 @@ def t2_matrix(k, basis=None):
     return T2Matrix(k, d, rows)
 
 
+def _decimal(n):
+    """The integer n in decimal at any length: str(n) stops at 4300 digits."""
+    return str(decimal.Decimal(n))
+
+
 @dataclass(frozen=True)
 class CharPoly:
     """Monic integer characteristic polynomial, coefficients stored from
@@ -103,13 +109,13 @@ class CharPoly:
             if e == self.degree:
                 term = f"x^{e}" if e > 1 else "x"
             else:
-                mag = abs(c)
+                mag = _decimal(abs(c))
                 if e == 0:
-                    term = str(mag)
+                    term = mag
                 elif e == 1:
-                    term = f"{mag}*x" if mag != 1 else "x"
+                    term = f"{mag}*x" if mag != "1" else "x"
                 else:
-                    term = f"{mag}*x^{e}" if mag != 1 else f"x^{e}"
+                    term = f"{mag}*x^{e}" if mag != "1" else f"x^{e}"
                 term = ("- " if c < 0 else "+ ") + term
             parts.append(term)
         return " ".join(parts)

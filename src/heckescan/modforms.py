@@ -150,10 +150,10 @@ def miller_basis(k, prec=None):
     d = dim_cusp(k)
     if prec is None:
         prec = 2 * d
-    if d == 0:
-        return MillerBasis(k, 0, ())
     if prec < 2 * d:
         raise ValueError(f"precision {prec} below 2*dim = {2 * d}")
+    if d == 0:
+        return MillerBasis(k, 0, ())
 
     e4 = eisenstein(4, prec)
     e6 = eisenstein(6, prec)

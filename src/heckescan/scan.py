@@ -147,7 +147,8 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
     """Compute records for every even weight in [k_min, k_max].
 
     Weights are started largest first, in this process when workers is 1
-    and in a pool of that many processes otherwise.  Records are appended
+    and otherwise in a pool of that many processes, capped by the number
+    of weights to compute.  Records are appended
     to output_path as they complete (flushed per line, so an interrupted
     scan loses at most the records in flight).  When a weight raises, or
     a worker dies (BrokenProcessPool), the weights still queued are
@@ -194,7 +195,8 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
             for k in todo:
                 _emit(compute_record(k), computed, out)
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # the pool forks all its workers at the first submit
+            with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
                 futures = [pool.submit(compute_record, k) for k in todo]
                 try:
                     for fut in as_completed(futures):

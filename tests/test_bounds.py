@@ -170,6 +170,22 @@ def test_precision_floor_of_80_bits(fn):
     assert fn(10, 80)
 
 
+def _interleaved(*targets):
+    """Run each target in its own thread, switching between them as
+    finely as the interpreter allows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=t) for t in targets]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 def test_bound_report_is_thread_safe_across_precisions():
     # reports at 80 and 128 bits interleaved as finely as the interpreter
     # allows must equal the serial ones and leave mpmath's precision alone
@@ -182,21 +198,42 @@ def test_bound_report_is_thread_safe_across_precisions():
     def work(i):
         got[i] = [bound_report(n, precs[i]) for n in levels]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(precs))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    finally:
-        sys.setswitchinterval(interval)
+    _interleaved(*(lambda i=i: work(i) for i in range(len(precs))))
     mismatches = sum(
         _fields(a) != _fields(b) for i, prec in enumerate(precs) for a, b in zip(got[i], want[prec])
     )
     assert mismatches == 0
     assert mpmath.mp.prec == mp_prec
+
+
+def test_sweeps_are_thread_safe_across_precisions():
+    # both sweeps and the failure intervals of tables at 80 and 128 bits,
+    # interleaved beside a thread computing log 3 at mpmath's default
+    # precision: every value must equal the serial one, and mpmath's
+    # precision must be left alone
+    precs = (80, 128, 80, 128)
+    tables = {prec: (sieve(3000, prec), sieve(64, prec)) for prec in set(precs)}
+
+    def sweep(prec):
+        big, small = tables[prec]
+        reports = (verify_lemma_theta(big), verify_dusart(big)) + failure_intervals(small)
+        return [_fields(r) for r in reports]
+
+    want = {prec: sweep(prec) for prec in tables}
+    log3 = mpmath.log(3)._mpf_
+    mp_prec = mpmath.mp.prec
+    got = [None] * len(precs)
+    wrong_logs = []
+
+    def work(i):
+        got[i] = sweep(precs[i])
+
+    def bystander():
+        wrong_logs.extend(v for v in (mpmath.log(3)._mpf_ for _ in range(20_000)) if v != log3)
+
+    _interleaved(bystander, *(lambda i=i: work(i) for i in range(len(precs))))
+    mismatches = sum(a != b for i, prec in enumerate(precs) for a, b in zip(got[i], want[prec]))
+    assert (mismatches, len(wrong_logs), mpmath.mp.prec) == (0, 0, mp_prec)
 
 
 def test_verify_lemma_small_table(table_10k):

@@ -1,3 +1,4 @@
+import decimal
 import json
 import os
 
@@ -85,6 +86,26 @@ def test_charpoly_json(capsys):
     assert data["verdict"]["kind"] == "irreducible"
 
 
+def test_charpoly_prints_coefficients_past_the_int_string_limit(monkeypatch, capsys):
+    # str(int) refuses more than 4300 digits; the constant term at k = 600
+    # already has more
+    import heckescan.cli
+    from heckescan.hecke import CharPoly
+
+    big = 7 * (10**5000 - 1) // 9  # 5000 sevens
+    poly = CharPoly(600, (1, -big, big))
+    monkeypatch.setattr(heckescan.cli, "charpoly_t2", lambda k: poly)
+    digits = str(decimal.Decimal(big))
+    assert len(digits) == 5000 and set(digits) == {"7"}
+    assert dispatch(["charpoly", "--weight", "600"]) == 0
+    head, coeffs = capsys.readouterr().out.splitlines()
+    assert head == f"k=600 degree=2 charpoly: x^2 - {digits}*x + {digits}"
+    assert [int(decimal.Decimal(c)) for c in coeffs.split()[1:]] == list(poly.coeffs)
+    assert dispatch(["charpoly", "--weight", "600", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [int(decimal.Decimal(c)) for c in data["coeffs"]] == list(poly.coeffs)
+
+
 def test_vmbasis_text(capsys):
     assert dispatch(["vmbasis", "--weight", "16"]) == 0
     out = capsys.readouterr().out
@@ -98,6 +119,14 @@ def test_vmbasis_rejects_odd_weight(capsys):
 
 def test_vmbasis_rejects_low_precision(capsys):
     assert dispatch(["vmbasis", "--weight", "24", "--prec", "3"]) == 2
+
+
+@pytest.mark.parametrize("weight", ["14", "24"])  # an empty space and a nonempty one
+def test_vmbasis_rejects_negative_precision(weight, capsys):
+    assert dispatch(["vmbasis", "--weight", weight, "--prec", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: precision -1 below 2*dim")
 
 
 def test_vmbasis_larger_precision_for_inspection(capsys):
@@ -280,6 +309,25 @@ def test_primorial_table_rows_match_primorial_row(count, capsys):
 def test_primorial_table_count_0_exits_2(capsys):
     assert dispatch(["primorial-table", "--count", "0"]) == 2
     assert capsys.readouterr().err == "error: --count must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta-check", "--limit", "100000000000000000000"],
+        ["primorial-table", "--count", "100000000000000000000"],
+        ["theta-plot", "--max", "inf", "--out", "-"],
+        ["theta-plot", "--max", "1e200", "--out", "-"],
+        ["theta-plot", "--max", "nan", "--out", "-"],
+    ],
+)
+def test_oversized_input_exits_2_without_traceback(argv, capsys):
+    # each raises (OverflowError, or ValueError for nan) before it allocates
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "exactness" not in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_killed_worker_exits_2_and_resume_finishes(tmp_path, monkeypatch, capsys):

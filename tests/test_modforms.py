@@ -144,6 +144,13 @@ def test_eisenstein_against_divisor_oracle():
         assert e[n] == -504 * sigma_oracle(n, 5)
 
 
+def test_miller_basis_rejects_negative_precision_at_every_weight():
+    for k in (2, 14, 24):
+        with pytest.raises(ValueError, match="precision -1 below 2\\*dim"):
+            miller_basis(k, -1)
+    assert miller_basis(14, 0).dim == 0
+
+
 def test_eisenstein_rejects_bad_weights():
     with pytest.raises(ValueError):
         eisenstein(5, 4)

@@ -1,5 +1,6 @@
 import os
 import time
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -307,3 +308,32 @@ def test_killed_worker_leaves_complete_records_and_resume_finishes(tmp_path, mon
     assert resumed.resumed + resumed.computed == len(clean.records)
     # the same records, line for line, in completion order
     assert sorted(out.read_text().splitlines(True)) == sorted(clean_path.read_text().splitlines(True))
+
+
+def test_pool_size_is_capped_by_the_weights_left(tmp_path, monkeypatch):
+    # the pool forks all its workers at its first submit, so a stand-in
+    # records the size asked for and computes each weight in this process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, k):
+            fut = Future()
+            fut.set_result(fn(k))
+            return fut
+
+    monkeypatch.setattr(heckescan.scan, "ProcessPoolExecutor", InlinePool)
+    out = tmp_path / "o.tsv"
+    assert [r.k for r in run_scan(12, 16, workers=500, output_path=out).records] == [12, 14, 16]
+    resumed = run_scan(12, 22, workers=500, output_path=out, resume=True)
+    assert [r.k for r in resumed.records] == list(range(12, 23, 2)) and resumed.computed == 3
+    assert [r.k for r in run_scan(24, 30, workers=2).records] == [24, 26, 28, 30]
+    assert sizes == [3, 3, 2]
