@@ -6,16 +6,15 @@ sampling.  On a half-open step [lo, hi) the supremum of x is not attained,
 so "theta > x on the whole step" is checked as the non-strict
 "theta >= hi".
 
-Each sweep takes three steps.  A double screen computes every slack in
-floating point with a bound on its distance from the 96-bit slack, and
-settles all points that can be neither the minimum nor near the margin.
-The rest are evaluated from the stored 96-bit prefix sums and checked
-against one margin per table that bounds their accumulated rounding
-(`_screen_margin`).  A slack inside the margin, each comparison of
-`failure_intervals` and the exp step of `exceptional_levels` are decided by
-`_certified`: an interval enclosure from exact data (theta as logs of exact
-prime products), evaluated at prec_bits and doubled until it decides, or
-ArithmeticError after five tries.
+Each sweep takes two steps.  A double screen computes every slack in
+floating point with a bound on its distance from the true slack, and
+settles all points that can be neither the minimum nor a violation.  Each
+remaining point is evaluated as an interval enclosure from exact data
+(theta as logs of exact prime products) at prec_bits: its midpoint is the
+reported slack, and `_certified` decides its sign.  Each comparison of
+`failure_intervals` and the exp step of `exceptional_levels` are decided
+by `_certified` too: the enclosure evaluated at prec_bits and doubled until
+it decides, or ArithmeticError after five tries.
 
 The bound functions take one L = log n per level.  Every value here is
 computed on raw libmp tuples at prec_bits, round to nearest, or in a
@@ -29,13 +28,12 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import add, attrgetter, mul, sub
+from itertools import accumulate, compress, repeat
+from operator import add, mul, sub
 
 import mpmath
-from mpmath.libmp import fone, from_float, from_int, from_rational, fzero, mpf_abs, mpf_add, mpf_div
-from mpmath.libmp import mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pow, mpf_pow_int
-from mpmath.libmp import mpf_sqrt, mpf_sub
+from mpmath.libmp import fone, from_int, from_rational, fzero, mpf_add, mpf_div, mpf_le, mpf_log, mpf_lt
+from mpmath.libmp import mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_shift, mpf_sqrt
 
 from .primes import DEFAULT_THETA_BITS, _require_prec_bits, smallest_nondivisor_prime
 
@@ -207,130 +205,101 @@ def _theta_enclosure(primes):
     return lambda ctx: sum((ctx.log(m) for m in products), ctx.mpf(0))
 
 
-def _screen_margin(table):
-    """Bound on the rounding error of every slack the sweeps compute from
-    the stored prefix sums; a slack this close to 0 goes to `_certified`.
-
-    With u = 2^-prec_bits, n primes and T the last prefix sum, a stored
-    theta (logs within 2 ulp, one rounding per addition) is off by at most
-    E = 4(n + 2)(T + 2)u.  Dusart reads log p as a difference of two of
-    them, off by at most 2E + u log p; while that is below log(2)/10 (any
-    table that fits in memory) c p / log^2 p moves by at most
-    3 c p / log^3 p times it, and p / log^3 p on [2, limit] peaks at an
-    end, A = max(6.01, limit / log^3 limit).  Every other rounding in
-    either slack stays below 30 limit u, so both are off by less than
-    (1 + 6 c A)(E + 30 limit u)."""
-    u = 2.0 ** -table.prec_bits
-    n, limit = len(table.primes), table.limit
-    err = 4 * (n + 2) * (float(table.theta_prefix[-1]) + 2) * u
-    amp = max(6.01, limit / math.log(limit) ** 3)
-    return _make_mpf(from_float((1 + 6 * float(DUSART_COEFF) * amp) * (err + 30 * limit * u)))
-
-
-# The double screen.  Each sweep first computes every slack s in doubles
-# from the stored 96-bit sums T read as doubles t, with a bound d on
-# |s - S| for the slack S that the same expression gives in 96 bits.  Only
-# a point with s - d <= min(s + d) over all points (it may hold the
-# minimum) or s - d < margin (S may be below the screen margin) is
-# evaluated again in 96 bits, in index order, so every report field equals
-# the one an all-points 96-bit sweep gives.
+# The double screen.  Each sweep first computes every slack s in doubles,
+# with a bound d on |s - S| for the true slack S.  Only a point with
+# s - d <= max(0, min(s + d)) over all points (it may hold the minimum or
+# be a violation) goes on to its interval enclosure, in index order.
 #
-# With u = 2^-53: |t - T| <= u T (`_theta_floats`); the sups (p' - 2)/2
-# and the primes p are exact in both precisions; each double operation
-# rounds by at most u |result| and each 96-bit one by 2^-96 |result|.
-#   - Lemma, s = t - sup: |s - S| <= u T + u |s| + 2^-96 |S| < 1.01 u
-#     (t + |s|); d = 4u (t + |s|).
-#   - Dusart reads log p as L = t_p - t_prev, and |L - L96| < 1.01 u
-#     (t_p + t_prev + 2L) <= e = 4u (t_p + t_prev + L).  This is the
-#     cancellation: e / L grows like u theta(p) / log p.  While
-#     e <= L / 1000, (L96 / L)^2 is within 2.001 e / L of 1, and with the
-#     four roundings of B = c p / (L L) in either precision (c, c p, L L,
-#     the quotient) B is off by less than B (2.01 e / L + 4.03u) <=
-#     dB = B (3 e / L + 8u).  Past that dB is infinite, so the point goes
-#     to 96 bits (no table that fits in memory gets there).  A side with
-#     theta value t_v has A = |t_v - p| and s = B - A, and |s - S| <
-#     dB / 1.49 + 1.01 u (t_v + A + |s|) <= d = dB + 4u (t_v + A + |s|).
+# With u = 2^-53 and A = 2^-40, a relative allowance per math.log far
+# above its error (within 2^-52 for every prime the tests check):
+#   - t_i, the running double sum of math.log over the first i + 1 primes,
+#     adds terms within A theta_i of theta_i in total, with i roundings
+#     each below 1.001 u t_i, so |t_i - theta_i| <= E_i = 2(A + i u) t_i
+#     (`_theta_floats`).  The sups (p' - 2)/2 and the primes p are exact.
+#   - Lemma, s = t - sup: |s - S| <= E + u |s| <= d = E + 4u (t + |s|).
+#   - Dusart takes L = math.log(p), within A L of log p, so (log p / L)^2
+#     is within 2.001 A of 1, and with the four roundings of B = c p / (L L)
+#     (c, c p, L L, the quotient) B is off from c p / log^2 p by less than
+#     B (2.01 A + 4.01 u) <= dB = B (3A + 8u).  A side with theta value
+#     t_v has |s - S| <= dB + E_v + u (|t_v - p| + |s|) <=
+#     d = dB + E_v + 4u (t_v + |t_v - p| + |s|).
 # So d is at least 1.49 times the error bound it stands for, which also
 # covers the rounding in computing d.
 _U = 2.0**-53
+_LOG_ALLOWANCE = 2.0**-40
 
 
-def _theta_floats(table):
-    """The stored sums as doubles, each rounded to nearest: the mantissa
-    (at most prec_bits bits) converts correctly rounded, and the power of
-    two scales it exactly."""
-    ldexp = math.ldexp
-    raw = map(attrgetter("_mpf_"), table.theta_prefix)
-    return array("d", [ldexp(-man if sign else man, exp) for sign, man, exp, _ in raw])
+def _theta_floats(primes):
+    """(t, e): t[i] the running double sum of math.log over the first
+    i + 1 primes, and e[i] = 2(A + i u) t[i] a bound on |t[i] - theta|."""
+    t = array("d", accumulate(map(math.log, primes)))
+    return t, array("d", [2 * (_LOG_ALLOWANCE + i * _U) * ti for i, ti in enumerate(t)])
 
 
 def _lemma_screen(table):
     """(s, d) in index order over the lemma's points: theta(2) against
     1/2, then theta(p) against (p' - 2)/2, then the tail to the limit."""
-    t = _theta_floats(table)
+    t, e = _theta_floats(table.primes)
     sups = array("d", [0.5])
     sups.extend([(p - 2) / 2 for p in table.primes[1:]])
     sups.append((table.limit - 2) / 2)
-    values = t[:1] + t
+    values, errs = t[:1] + t, e[:1] + e
     slack = array("d", map(sub, values, sups))
-    return slack, array("d", map(mul, repeat(4 * _U), map(add, values, map(abs, slack))))
+    return slack, array("d", map(add, errs, map(mul, repeat(4 * _U), map(add, values, map(abs, slack)))))
 
 
 def _dusart_screen(table):
     """(s, d) in index order over Dusart's points: the left limit, then
     the jump, at each prime."""
     coeff = DUSART_COEFF.numerator / DUSART_COEFF.denominator
-    u4, u8, inf = 4 * _U, 8 * _U, math.inf
+    rel, u4, log = 3 * _LOG_ALLOWANCE + 8 * _U, 4 * _U, math.log
     slack, delta = array("d"), array("d")
     put_s, put_d = slack.append, delta.append
-    prev = 0.0
-    for p, th in zip(table.primes, _theta_floats(table)):
-        log_p = th - prev
-        e = u4 * (th + prev + log_p)
-        if 1000 * e <= log_p:
-            bound = coeff * p / (log_p * log_p)
-            d_bound = bound * (3 * e / log_p + u8)
-        else:
-            bound, d_bound = 0.0, inf
+    prev = prev_e = 0.0
+    for p, th, err in zip(table.primes, *_theta_floats(table.primes)):
+        log_p = log(p)
+        bound = coeff * p / (log_p * log_p)
+        d_bound = bound * rel
         a = abs(prev - p)
         s = bound - a
         put_s(s)
-        put_d(d_bound + u4 * (prev + a + abs(s)))
+        put_d(d_bound + prev_e + u4 * (prev + a + abs(s)))
         a = abs(th - p)
         s = bound - a
         put_s(s)
-        put_d(d_bound + u4 * (th + a + abs(s)))
-        prev = th
+        put_d(d_bound + err + u4 * (th + a + abs(s)))
+        prev, prev_e = th, err
     return slack, delta
 
 
-def _candidates(screen, margin):
+def _candidates(screen):
     """Indices, in order, of the points the screen cannot settle: lower
-    end s - d at most max(min(s + d), margin)."""
+    end s - d at most max(0, min(s + d))."""
     slack, delta = screen
-    cut = max(float(margin), min(map(add, slack, delta)))
+    cut = max(0.0, min(map(add, slack, delta)))
     return compress(range(len(slack)), map(cut.__ge__, map(sub, slack, delta)))
 
 
 def _sweep(name, table, screen, point, points_checked):
     """The report of one sweep.  point(k) gives, for each point k the screen
-    cannot settle, (x, slack, where, enclose): the slack as a raw tuple at
-    prec_bits, and enclose() its interval enclosure for `_certified`."""
-    margin = _screen_margin(table)
-    top, floor = margin._mpf_, mpf_neg(margin._mpf_)
+    cannot settle, (x, where, enclose): enclose(ctx) is the interval
+    enclosure of its slack, whose midpoint at prec_bits, round to nearest,
+    is the reported slack.  The first minimum is kept on a tie."""
+    prec = table.prec_bits
     ctx = _interval_context()
     violations = []
     min_slack = min_x = None
-    for k in _candidates(screen, margin):
-        x, slack, where, enclose = point(k)
+    for k in _candidates(screen):
+        x, where, enclose = point(k)
+        ctx.prec = prec  # an escalation leaves it raised
+        lo, hi = enclose(ctx)._mpi_
+        slack = mpf_shift(mpf_add(lo, hi, prec, "n"), -1)
         if min_slack is None or mpf_lt(slack, min_slack):
             min_slack, min_x = slack, x
-        if mpf_lt(slack, top) and (
-            mpf_le(slack, floor) or _certified(ctx, enclose(), _sign, table.prec_bits) < 0
-        ):
+        if mpf_le(lo, fzero) and _certified(ctx, enclose, _sign, prec) < 0:
             violations.append((*where, _make_mpf(slack)))
     return CheckReport(
-        name, not violations, points_checked, _make_mpf(min_slack), min_x, tuple(violations), table.prec_bits
+        name, not violations, points_checked, _make_mpf(min_slack), min_x, tuple(violations), prec
     )
 
 
@@ -340,17 +309,21 @@ def verify_lemma_theta(table):
     theta(2x + 2) is constant, equal to theta(p), for x in
     [(p - 2)/2, (p' - 2)/2) between consecutive primes p < p', so the
     whole sweep reduces to theta(p) >= (p' - 2)/2 per segment plus the
-    initial segment theta(2) >= 1/2 and the tail up to the table limit."""
+    initial segment theta(2) >= 1/2 and the tail up to the table limit.
+
+    The initial segment and the segment of p = 2 are the same comparison,
+    theta(2) >= 1/2, so points_checked is n + 1 for n primes, the count
+    every earlier report gave.  The two points tie exactly, and the first
+    is kept as the minimum without comparing them."""
     if table.limit < 5:
         raise ValueError("table limit below 5 leaves nothing to check")
-    ps, n, prec = table.primes, len(table.primes), table.prec_bits
+    ps, n = table.primes, len(table.primes)
 
     def point(k):  # theta(p_idx) against the segment's sup
         idx = max(k - 1, 0)
         sup = Fraction(1, 2) if k == 0 else Fraction((ps[k] if k < n else table.limit) - 2, 2)
-        sup_t = _quotient(sup, prec)
-        slack = mpf_sub(table.theta_prefix[idx]._mpf_, sup_t, prec, "n")
-        return _make_mpf(sup_t), slack, (ps[idx], sup), lambda: _minus(_theta_enclosure(ps[: idx + 1]), sup)
+        x = _make_mpf(_quotient(sup, table.prec_bits))
+        return x, (ps[idx], sup), _minus(_theta_enclosure(ps[: idx + 1]), sup)
 
     return _sweep("theta(2x+2) > x", table, _lemma_screen(table), point, n + 1)
 
@@ -361,21 +334,12 @@ def verify_dusart(table):
     x > 1.  Reports the minimal slack and where it occurs."""
     if table.limit < 10:
         raise ValueError("table limit below 10 leaves nothing worth checking")
-    ps, prefix, prec = table.primes, table.theta_prefix, table.prec_bits
-    coeff = _quotient(DUSART_COEFF, prec)
+    ps = table.primes
 
     def point(k):
         i, jump = divmod(k, 2)
         p = ps[i]
-        th = prefix[i]._mpf_
-        prev = prefix[i - 1]._mpf_ if i else fzero
-        # log p recovered from adjacent prefix sums; its rounding is
-        # part of the screen margin
-        logp = mpf_sub(th, prev, prec, "n")
-        bound = mpf_div(mpf_mul_int(coeff, p, prec, "n"), mpf_mul(logp, logp, prec, "n"), prec, "n")
-        lag = mpf_abs(mpf_sub(th if jump else prev, from_int(p), prec, "n"), prec, "n")
-        side = "jump" if jump else "left-limit"
-        return p, mpf_sub(bound, lag, prec, "n"), (p, side), lambda: _dusart_slack(ps[: i + jump], p)
+        return p, (p, "jump" if jump else "left-limit"), _dusart_slack(ps[: i + jump], p)
 
     return _sweep("|theta(x) - x| < 3.965 x / log(x)^2", table, _dusart_screen(table), point, 2 * len(ps))
 
@@ -415,7 +379,8 @@ def failure_intervals(table, x_max=None):
         # failure starts inside the segment, at theta(p) = log(primorial),
         # unless theta(p) clears the segment too
         inside = _below(ctx, theta_p, seg_hi, table.prec_bits)
-        cur = [table.theta_prefix[i], primorial, None, seg_hi] if inside else None
+        lo = _make_mpf(mpf_log(from_int(primorial), table.prec_bits, "n"))
+        cur = [lo, primorial, None, seg_hi] if inside else None
     if cur is not None:
         intervals.append(cur)
     return tuple(

@@ -3,11 +3,12 @@
 Exit codes: 0 success, 1 a verification failed (violated inequality,
 duplicate pair, missing difference, uncertified irreducibility),
 2 usage or input errors (among them an input too large to hold, which
-raises OverflowError), 3 an internal exactness check failed (a division that must
-be exact left a remainder, the charpoly's Krylov matrix stayed singular
-modulo every lifting prime, or the interval enclosure of a theta
-near-tie still straddled it at each of five doubling precisions),
-reported as one stderr line.  A scan whose worker
+raises OverflowError, or one that fits in an index but not in memory,
+which raises MemoryError), 3 an internal exactness check failed (a
+division that must be exact left a remainder, the charpoly's Krylov
+matrix stayed singular modulo every lifting prime, or the interval
+enclosure of a theta near-tie still straddled it at each of five doubling
+precisions), reported as one stderr line.  A scan whose worker
 process dies (BrokenProcessPool) exits 2 with one stderr line: the
 records written before the death are complete, and `scan --resume` with
 the same range finishes it.  All numeric output uses a plain decimal
@@ -89,6 +90,9 @@ def dispatch(argv):
         return 2
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: not enough memory for this input", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: exactness check failed: {exc}", file=sys.stderr)

@@ -4,15 +4,18 @@ smallest prime not dividing N.
 theta values are extended-precision reals (default 96 bits, never below
 80); they come from summing logs of the exact sieved primes, so the table
 is a faithful sample of the step function, not an analytic approximation.
+They are summed on first read: the theta sweeps work from the primes alone.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import threading
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 import mpmath
 from mpmath import libmp
@@ -27,14 +30,28 @@ DEFAULT_THETA_BITS = 96
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes <= limit plus running theta sums: theta_prefix[i] is
-    sum(log p) over the first i+1 primes, at prec_bits of precision.
+    """All primes <= limit, and the precision of their theta sums.
     Immutable; share freely across threads."""
 
     limit: int
     primes: tuple[int, ...]
-    theta_prefix: tuple
     prec_bits: int
+
+    @functools.cached_property
+    def theta_prefix(self):
+        """theta_prefix[i] is sum(log p) over the first i+1 primes at
+        prec_bits, built on first read (`theta`, `primorial_row`,
+        `theta-plot`)."""
+        # the raw-tuple form of total += mpmath.log(p) under workprec(prec_bits):
+        # the same libmp calls at the same precision and rounding, bit for bit
+        prec = self.prec_bits
+        log, add, from_int, make_mpf = libmp.mpf_log, libmp.mpf_add, libmp.from_int, mpmath.mp.make_mpf
+        prefix = []
+        total = libmp.fzero
+        for p in self.primes:
+            total = add(total, log(from_int(p), prec, "n"), prec, "n")
+            prefix.append(make_mpf(total))
+        return tuple(prefix)
 
 
 @dataclass(frozen=True)
@@ -66,21 +83,13 @@ def _require_prec_bits(prec_bits):
 
 
 def sieve(limit, prec_bits=DEFAULT_THETA_BITS):
-    """Sieve all primes <= limit and accumulate the theta prefix sums."""
+    """Sieve all primes <= limit into a table whose theta sums will be
+    taken at prec_bits; no log is taken here."""
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
     _require_prec_bits(prec_bits)
     flags = _sieve_flags(limit)
-    ps = [i for i in range(2, limit + 1) if flags[i]]
-    # the raw-tuple form of total += mpmath.log(p) under workprec(prec_bits):
-    # the same libmp calls at the same precision and rounding, bit for bit
-    log, add, from_int, make_mpf = libmp.mpf_log, libmp.mpf_add, libmp.from_int, mpmath.mp.make_mpf
-    prefix = []
-    total = libmp.fzero
-    for p in ps:
-        total = add(total, log(from_int(p), prec_bits, "n"), prec_bits, "n")
-        prefix.append(make_mpf(total))
-    return PrimeTable(limit, tuple(ps), tuple(prefix), prec_bits)
+    return PrimeTable(limit, tuple(compress(range(limit + 1), flags)), prec_bits)
 
 
 def theta(x, table):

@@ -170,6 +170,8 @@ def test_acceptance_06_shifted_theta_inequality_to_1e6():
             assert iv.hi_exact == hi
             assert abs(iv.lo - mpmath.log(lo_arg)) < tol
             assert abs(iv.hi - mpmath.mpf(hi.numerator) / hi.denominator) < tol
+    # the sweep and the intervals work from the primes alone
+    assert "theta_prefix" not in vars(table)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     _report(
@@ -186,6 +188,7 @@ def test_acceptance_07_dusart_to_1e7():
     table = sieve(10**7)
     rep = verify_dusart(table)
     assert rep.ok and rep.violations == ()
+    assert "theta_prefix" not in vars(table)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     _report(

@@ -346,7 +346,7 @@ def _exact(x):
     return Fraction(man) * Fraction(2) ** exp
 
 
-def test_theta_comparison_near_tie_reruns_at_higher_precision(table64):
+def test_theta_comparison_near_tie_reruns_at_higher_precision(table64, monkeypatch):
     # a bound equal to the exact rational value of a stored 96-bit theta
     # is a tie no stored value can settle; the interval verdict must match
     # a 400-bit evaluation from the primes
@@ -360,17 +360,28 @@ def test_theta_comparison_near_tie_reruns_at_higher_precision(table64):
             assert abs(diff) > mpmath.mpf(2) ** -300
         below = b._below(b._interval_context(), b._theta_enclosure(ps[: idx + 1]), tie, table64.prec_bits)
         assert below == (diff < 0)
-    # the sweep sends a stored theta pushed within the margin of its
-    # segment's bound to the exact primes: theta(7) = log 210 clears 9/2
+    # a screen that reads theta(7) within 2^-40 of its segment's bound 9/2
+    # takes that point for the minimum and sends it to the exact primes,
+    # where theta(7) = log 210 clears 9/2: a wrong screen cannot fake a
+    # violation, and the reported slack is the true one
     idx = ps.index(7)
-    for shift in (0, -(2**-90), 2**-90):
-        stored = list(table64.theta_prefix)
-        with mpmath.workprec(table64.prec_bits):
-            stored[idx] = mpmath.mpf(9) / 2 + shift
-        assert abs(stored[idx] - mpmath.mpf(9) / 2) < b._screen_margin(table64)
-        rep = verify_lemma_theta(dataclasses.replace(table64, theta_prefix=tuple(stored)))
+    with mpmath.workprec(400):
+        true_slack = mpmath.log(210) - mpmath.mpf(9) / 2
+    floats = b._theta_floats
+    for shift in (0, -(2**-40), 2**-40):
+
+        def skewed(primes, shift=shift):
+            t, e = floats(primes)
+            t[idx] = 4.5 + shift
+            return t, e
+
+        monkeypatch.setattr(b, "_theta_floats", skewed)
+        slack, delta = b._lemma_screen(table64)
+        assert slack[idx + 1] == shift  # lemma point k reads theta(p_(k-1)), k >= 1
+        assert idx + 1 in b._candidates((slack, delta))
+        rep = verify_lemma_theta(table64)
         assert rep.ok and rep.violations == ()
-        assert rep.min_slack == shift and rep.min_slack_x == 4.5
+        assert rep.min_slack_x == 4.5 and abs(rep.min_slack - true_slack) < mpmath.mpf(2) ** -90
 
 
 def test_dusart_near_tie_at_59_matches_a_400_bit_reference(table64, dusart_tie_coeffs, monkeypatch):
@@ -384,7 +395,7 @@ def test_dusart_near_tie_at_59_matches_a_400_bit_reference(table64, dusart_tie_c
             slack = mpmath.mpf(coeff.numerator) / coeff.denominator * 59 / mpmath.log(59) ** 2 - lag
             assert 0 < abs(slack) < mpmath.mpf(10) ** -29
         rep = verify_dusart(table64)
-        assert rep.min_slack_x == 59 and abs(rep.min_slack) < b._screen_margin(table64)
+        assert rep.min_slack_x == 59 and abs(rep.min_slack) < _screen_margin(table64)
         assert rep.ok == (slack > 0)
         assert [(p, side) for p, side, _ in rep.violations] == ([] if slack > 0 else [(59, "left-limit")])
     assert mpmath.iv.prec == iv_prec  # the escalation ran in a private context
@@ -430,9 +441,32 @@ def test_failure_intervals_tiny_cap(table64):
 # --- all-points 96-bit oracle for the screened sweeps ---------------------
 #
 # The sweeps as they were before the double screen: every critical point
-# through mpmath at the table's precision, with the same margin and the
-# same `_certified` escalation.  `slacks`, if given, collects the 96-bit
-# slack of every point in index order.
+# through mpmath at the table's precision from the stored prefix sums,
+# with a margin for their rounding and the same `_certified` escalation.
+# `slacks`, if given, collects the 96-bit slack of every point in index
+# order.
+
+
+def _screen_margin(table):
+    """Bound on the rounding error of every slack the oracles compute from
+    the stored prefix sums; a slack this close to 0 goes to `_certified`.
+
+    With u = 2^-prec_bits, n primes and T the last prefix sum, a stored
+    theta (logs within 2 ulp, one rounding per addition) is off by at most
+    E = 4(n + 2)(T + 2)u.  Dusart reads log p as a difference of two of
+    them, off by at most 2E + u log p; while that is below log(2)/10 (any
+    table that fits in memory) c p / log^2 p moves by at most
+    3 c p / log^3 p times it, and p / log^3 p on [2, limit] peaks at an
+    end, A = max(6.01, limit / log^3 limit).  Every other rounding in
+    either slack stays below 30 limit u, so both are off by less than
+    (1 + 6 c A)(E + 30 limit u)."""
+    import heckescan.bounds as b
+
+    u = 2.0 ** -table.prec_bits
+    n, limit = len(table.primes), table.limit
+    err = 4 * (n + 2) * (float(table.theta_prefix[-1]) + 2) * u
+    amp = max(6.01, limit / math.log(limit) ** 3)
+    return mpmath.mpf((1 + 6 * float(b.DUSART_COEFF) * amp) * (err + 30 * limit * u))
 
 
 def oracle_lemma_theta(table, slacks=None):
@@ -441,7 +475,7 @@ def oracle_lemma_theta(table, slacks=None):
     ps = table.primes
     prefix = table.theta_prefix
     n = len(ps)
-    margin = b._screen_margin(table)
+    margin = _screen_margin(table)
     ctx = b._interval_context()
     violations = []
     min_slack = None
@@ -473,7 +507,7 @@ def oracle_dusart(table, slacks=None):
     import heckescan.bounds as b
 
     ps = table.primes
-    margin = b._screen_margin(table)
+    margin = _screen_margin(table)
     ctx = b._interval_context()
     violations = []
     min_slack = None
@@ -525,73 +559,152 @@ def _fields(rep):
     return {f.name: _bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
 
 
-@pytest.mark.parametrize("coeff", [Fraction(3965, 1000), Fraction(3964, 1000)])
+def _assert_matches_oracle(rep, want, margin):
+    """rep has every field of the oracle's report want, except that each
+    slack may differ from the oracle's by its rounding margin."""
+    exact = ("name", "ok", "points_checked", "min_slack_x", "prec_bits")
+    assert [_bits(getattr(rep, f)) for f in exact] == [_bits(getattr(want, f)) for f in exact]
+    assert [v[:-1] for v in rep.violations] == [v[:-1] for v in want.violations]
+    slacks = [(r.min_slack, *(v[-1] for v in r.violations)) for r in (rep, want)]
+    for got, exp in zip(*slacks):
+        assert abs(_exact(got) - _exact(exp)) < _exact(margin)
+
+
+@pytest.mark.parametrize("coeff", [Fraction(3965, 1000), Fraction(3964, 1000), Fraction(3)])
 @pytest.mark.parametrize("size", ["table_10k", "table_100k"])
 def test_screened_sweeps_equal_the_all_points_oracle(size, coeff, request, monkeypatch):
     import heckescan.bounds as b
 
     table = request.getfixturevalue(size)
     monkeypatch.setattr(b, "DUSART_COEFF", coeff)
+    margin = _screen_margin(table)
     for sweep, oracle in ((verify_lemma_theta, oracle_lemma_theta), (verify_dusart, oracle_dusart)):
-        assert _fields(sweep(table)) == _fields(oracle(table)), sweep.__name__
-    # the smaller constant breaks through at the x = 59 left limit
-    assert [(p, side) for p, side, _ in verify_dusart(table).violations] == (
-        [] if coeff == DUSART_COEFF else [(59, "left-limit")]
-    )
+        _assert_matches_oracle(sweep(table), oracle(table), margin)
+    # the smaller constant breaks through at the x = 59 left limit, and
+    # c = 3 at many points besides the minimum, every one of them reported
+    rep = verify_dusart(table)
+    if coeff == 3:
+        assert len(rep.violations) > 1 and not rep.ok
+    else:
+        want = [] if coeff == DUSART_COEFF else [(59, "left-limit")]
+        assert [(p, side) for p, side, _ in rep.violations] == want
 
 
 @pytest.mark.parametrize(
     "screen, oracle", [("_lemma_screen", oracle_lemma_theta), ("_dusart_screen", oracle_dusart)]
 )
 def test_screen_bound_covers_the_double_error_at_every_point(table_100k, screen, oracle):
+    # d covers the distance to the 96-bit slack plus that slack's own
+    # rounding bound, so it covers the distance to the true slack
     import heckescan.bounds as b
 
     slack, delta = getattr(b, screen)(table_100k)
     want = []
     oracle(table_100k, slacks=want)
+    margin = _exact(_screen_margin(table_100k))
     assert len(slack) == len(delta) == len(want)
-    for s, d, exact in zip(slack, delta, want):
-        assert abs(Fraction(s) - _exact(exact)) <= Fraction(d)
-    # and the screen settles all but a handful of the points
-    assert len(list(b._candidates((slack, delta), b._screen_margin(table_100k)))) <= 4
+    for s, d, s96 in zip(slack, delta, want):
+        assert abs(Fraction(s) - _exact(s96)) + margin <= Fraction(d)
+    # and the screen settles all but the tightest points: the doubled first
+    # segment of the lemma, the x = 59 left limit of Dusart
+    assert list(b._candidates((slack, delta))) == ([0, 1] if screen == "_lemma_screen" else [32])
+
+
+def _dusart_crossing(table):
+    """The constant c* = 4.33... at which the left limits at 29 and at 59
+    have equal Dusart slack (near it these two are the smallest slacks of
+    any point), rounded to a multiple of 2^-80, and the slack of each as
+    (slope, lag) at 400 bits."""
+    ps = table.primes
+    with mpmath.workprec(400):
+        lines = [(p / mpmath.log(p) ** 2, p - mpmath.log(math.prod(ps[: ps.index(p)]))) for p in (29, 59)]
+        (a29, b29), (a59, b59) = lines
+        return Fraction(int(mpmath.nint((b59 - b29) / (a59 - a29) * 2**80)), 2**80), lines
 
 
 @pytest.mark.parametrize("shift", [-(2**-80), 2**-80])
-def test_screen_tie_goes_to_the_96_bit_minimum(table_10k, shift):
-    # theta(13) pushed down to 15/2 + (log 2 - 1/2) + shift, so the
-    # segment of 13 and the first segment (slack log 2 - 1/2) tie in
-    # doubles but not in 96 bits
+def test_screen_tie_goes_to_the_96_bit_minimum(table_10k, shift, monkeypatch):
+    # c within 2^-79 of c*: the left limits at 29 and at 59 tie in doubles
+    # but not at 96 bits, where 59 is the minimum below c* and 29 above it
     import heckescan.bounds as b
 
-    idx = table_10k.primes.index(13)
-    stored = list(table_10k.theta_prefix)
-    with mpmath.workprec(table_10k.prec_bits):
-        stored[idx] = mpmath.mpf(15) / 2 + (stored[0] - mpmath.mpf(1) / 2) + shift
-    table = dataclasses.replace(table_10k, theta_prefix=tuple(stored))
-    slack, delta = b._lemma_screen(table)
-    first, nudged = 0, idx + 1  # lemma point k reads theta(p_(k-1)), k >= 1
-    assert abs(slack[first] - slack[nudged]) <= delta[first] + delta[nudged]
-    slacks = []
-    want = oracle_lemma_theta(table, slacks=slacks)
-    assert slacks[nudged] != slacks[first]
-    rep = verify_lemma_theta(table)
-    assert _fields(rep) == _fields(want)
-    assert rep.min_slack_x == (7.5 if slacks[nudged] < slacks[first] else 0.5)
-    assert (slacks[nudged] < slacks[first]) == (shift < 0)
+    crossing, lines = _dusart_crossing(table_10k)
+    coeff = crossing + Fraction(shift)
+    monkeypatch.setattr(b, "DUSART_COEFF", coeff)
+    with mpmath.workprec(400):
+        c = mpmath.mpf(coeff.numerator) / coeff.denominator
+        s29, s59 = (a * c - lag for a, lag in lines)
+        assert mpmath.mpf(2) ** -90 < abs(s29 - s59) < mpmath.mpf(2) ** -70
+    slack, delta = b._dusart_screen(table_10k)
+    at29, at59 = 2 * table_10k.primes.index(29), 2 * table_10k.primes.index(59)
+    assert abs(slack[at29] - slack[at59]) <= delta[at29] + delta[at59]
+    assert [at29, at59] == list(b._candidates((slack, delta)))
+    rep = verify_dusart(table_10k)
+    _assert_matches_oracle(rep, oracle_dusart(table_10k), _screen_margin(table_10k))
+    assert rep.min_slack_x == (59 if s59 < s29 else 29)
+    assert (s59 < s29) == (shift < 0)
 
 
 def test_screen_keeps_a_near_tie_that_is_not_the_minimum(table64, dusart_tie_coeffs, monkeypatch):
     # the x = 59 left limit a hair below its bound (a violation only the
-    # exact primes can decide), while a stored theta(61) pushed up by 1000
-    # makes far deeper violations at 61 (its log 61 reads as about 1004):
-    # all must be reported
+    # exact primes can decide), while a screen that reads theta(61) 1000
+    # too high sees far deeper violations at 61: the near tie must still
+    # be reported, and the screen's violations at 61 must not be
     import heckescan.bounds as b
 
     monkeypatch.setattr(b, "DUSART_COEFF", dusart_tie_coeffs[0])
-    stored = list(table64.theta_prefix)
-    stored[-1] += 1000
-    table = dataclasses.replace(table64, theta_prefix=tuple(stored))
-    rep = verify_dusart(table)
-    assert _fields(rep) == _fields(oracle_dusart(table))
-    assert [(p, side) for p, side, _ in rep.violations] == [(59, "left-limit"), (61, "left-limit"), (61, "jump")]
-    assert rep.min_slack_x == 61 and rep.min_slack < -900
+    want = oracle_dusart(table64)
+    floats = b._theta_floats
+
+    def skewed(primes):
+        t, e = floats(primes)
+        t[-1] += 1000
+        return t, e
+
+    monkeypatch.setattr(b, "_theta_floats", skewed)
+    slack, delta = b._dusart_screen(table64)
+    assert min(slack) < -900 and slack.index(min(slack)) > 32
+    assert 32 in b._candidates((slack, delta))  # the x = 59 left limit
+    rep = verify_dusart(table64)
+    _assert_matches_oracle(rep, want, _screen_margin(table64))
+    assert [(p, side) for p, side, _ in rep.violations] == [(59, "left-limit")]
+    assert rep.min_slack_x == 59 and not rep.ok
+
+
+def test_lemma_counts_the_first_segment_twice_without_comparing_the_tie(table_10k, undecidable_enclosures):
+    # points 0 and 1 are the same comparison theta(2) >= 1/2: both reach
+    # their enclosures, the exact tie keeps the first as the minimum, and no
+    # escalation (which would raise here) is ever asked to order them
+    import heckescan.bounds as b
+
+    assert list(b._candidates(b._lemma_screen(table_10k))) == [0, 1]
+    rep = verify_lemma_theta(table_10k)
+    assert rep.ok and rep.min_slack_x == Fraction(1, 2)
+    assert rep.points_checked == len(table_10k.primes) + 1
+
+
+def test_math_log_within_its_allowance_to_1e5(table_100k):
+    # the screens take math.log(p) as within A = 2^-40 of log p relative;
+    # it is within 2^-52 for every prime up to 10^5
+    import heckescan.bounds as b
+
+    assert b._LOG_ALLOWANCE >= 2.0**-52
+    with mpmath.workprec(120):
+        for p in table_100k.primes:
+            ref = mpmath.log(p)
+            assert abs(mpmath.mpf(math.log(p)) - ref) <= mpmath.ldexp(ref, -52), p
+
+
+def test_sweeps_and_failure_intervals_never_build_the_prefix_sums():
+    table = sieve(3000)
+    verify_lemma_theta(table)
+    verify_dusart(table)
+    failure_intervals(table)
+    assert "theta_prefix" not in vars(table)
+
+
+@pytest.mark.parametrize("prec_bits", [80, 96, 128])
+def test_failure_interval_lo_is_log_of_its_argument_at_table_precision(prec_bits):
+    ivs = failure_intervals(sieve(64, prec_bits))
+    with mpmath.workprec(prec_bits):
+        assert [iv.lo._mpf_ for iv in ivs] == [mpmath.log(iv.lo_log_arg)._mpf_ for iv in ivs]

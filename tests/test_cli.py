@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 import heckescan.bounds
+import heckescan.primes
 import heckescan.scan
 from heckescan.cli import dispatch, emit_theta_plot
 from heckescan.primes import primorial_row, sieve
@@ -328,6 +329,27 @@ def test_oversized_input_exits_2_without_traceback(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "exactness" not in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta-check", "--limit", "1000000000000"],
+        ["primorial-table", "--count", "1000"],
+        ["theta-plot", "--max", "40", "--out", "-"],
+    ],
+)
+def test_sieve_too_large_for_memory_exits_2_without_traceback(argv, monkeypatch, capsys):
+    # the sieve's flags raise MemoryError as a too-large bytearray would,
+    # without allocating anything
+    def no_memory(limit):
+        raise MemoryError
+
+    monkeypatch.setattr(heckescan.primes, "_sieve_flags", no_memory)
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not enough memory for this input\n"
 
 
 def test_killed_worker_exits_2_and_resume_finishes(tmp_path, monkeypatch, capsys):
