@@ -23,7 +23,7 @@ from .hecke import (
     trace_t2,
 )
 from .primes import (
-    DEFAULT_THETA_BITS,
+    THETA_BITS,
     PrimeTable,
     PrimorialRow,
     primorial_row,

@@ -10,16 +10,17 @@ Each sweep takes two steps.  A double screen computes every slack in
 floating point with a bound on its distance from the true slack, and
 settles all points that can be neither the minimum nor a violation.  Each
 remaining point is evaluated as an interval enclosure from exact data
-(theta as logs of exact prime products) at prec_bits: its midpoint is the
+(theta as logs of exact prime products) at THETA_BITS: its midpoint is the
 reported slack, and `_certified` decides its sign.  Each comparison of
 `failure_intervals` and the exp step of `exceptional_levels` are decided
-by `_certified` too: the enclosure evaluated at prec_bits and doubled until
-it decides, or ArithmeticError after five tries.
+by `_certified` too: the enclosure evaluated at THETA_BITS and doubled
+until it decides, or ArithmeticError after five tries.
 
 The bound functions take one L = log n per level.  Every value here is
-computed on raw libmp tuples at prec_bits, round to nearest, or in a
+computed on raw libmp tuples at THETA_BITS, round to nearest, or in a
 private interval context: nothing reads or sets mpmath's global precision,
-so tables and reports of any precision can be used from threads at once.
+so no result depends on it, and tables and reports can be used from
+threads at once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import mpmath
 from mpmath.libmp import fone, from_int, from_rational, fzero, mpf_add, mpf_div, mpf_le, mpf_log, mpf_lt
 from mpmath.libmp import mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_shift, mpf_sqrt
 
-from .primes import DEFAULT_THETA_BITS, _require_prec_bits, smallest_nondivisor_prime
+from .primes import THETA_BITS, smallest_nondivisor_prime
 
 # Quoted constants, kept as exact decimal literals.
 DUSART_COEFF = Fraction(3965, 1000)
@@ -51,46 +52,46 @@ def murty_bound(n):
     return smallest_nondivisor_prime(n) ** 2
 
 
-def _log_level(n, prec):
-    """L = log n as a raw tuple, after the checks the bound functions share."""
+def _log_level(n):
+    """L = log n as a raw tuple, after the level check the bound functions share."""
     if n < 1:
         raise ValueError("level must be a positive integer")
-    _require_prec_bits(prec)
-    return mpf_log(from_int(n), prec, "n")
+    return mpf_log(from_int(n), THETA_BITS, "n")
 
 
-def _square_plus(big_l, t, prec):  # (L + t)**2
-    return mpf_pow_int(mpf_add(big_l, t, prec, "n"), 2, prec, "n")
+def _square_plus(big_l, t):  # (L + t)**2
+    return mpf_pow_int(mpf_add(big_l, t, THETA_BITS, "n"), 2, THETA_BITS, "n")
 
 
-def _closed_form(big_l, prec):
-    return _make_mpf(mpf_mul_int(_square_plus(big_l, fone, prec), 4, prec, "n"))
+def _closed_form(big_l):
+    return _make_mpf(mpf_mul_int(_square_plus(big_l, fone), 4, THETA_BITS, "n"))
 
 
-def _asymptotic(big_l, prec):
+def _asymptotic(big_l):
+    prec = THETA_BITS
     log_l = mpf_log(big_l, prec, "n")
     terms = (
         mpf_pow(big_l, from_rational(21, 40, prec, "n"), prec, "n"),  # L^0.525
         mpf_mul(mpf_sqrt(big_l, prec, "n"), log_l, prec, "n"),
         mpf_pow_int(log_l, 2, prec, "n"),
     )
-    return tuple(_make_mpf(_square_plus(big_l, t, prec)) for t in terms)
+    return tuple(_make_mpf(_square_plus(big_l, t)) for t in terms)
 
 
-def main_bound(n, prec_bits=DEFAULT_THETA_BITS):
+def main_bound(n):
     """4*(log n + 1)**2 as an extended-precision real; integer callers
     take the floor."""
-    return _closed_form(_log_level(n, prec_bits), prec_bits)
+    return _closed_form(_log_level(n))
 
 
-def asymptotic_bounds(n, prec_bits=DEFAULT_THETA_BITS):
+def asymptotic_bounds(n):
     """The three asymptotic bound shapes evaluated with implied constant 1:
     (L + L^0.525)^2, (L + sqrt(L)*log L)^2, (L + (log L)^2)^2 for L = log n.
     Only the shapes are meaningful (see ASYMPTOTIC_NOTE); needs n >= 3 so
     log log n is defined and positive."""
     if n < 3:
         raise ValueError("asymptotic expressions need n >= 3 (log log n > 0)")
-    return _asymptotic(_log_level(n, prec_bits), prec_bits)
+    return _asymptotic(_log_level(n))
 
 
 @dataclass(frozen=True)
@@ -102,14 +103,12 @@ class BoundReport:
     murty_bound: int
     main_bound: object
     asymptotic: tuple | None
-    prec_bits: int
 
 
-def bound_report(n, prec_bits=DEFAULT_THETA_BITS):
+def bound_report(n):
     p = smallest_nondivisor_prime(n)
-    big_l = _log_level(n, prec_bits)
-    asym = _asymptotic(big_l, prec_bits) if n >= 3 else None
-    return BoundReport(n, p, p * p, _closed_form(big_l, prec_bits), asym, prec_bits)
+    big_l = _log_level(n)
+    return BoundReport(n, p, p * p, _closed_form(big_l), _asymptotic(big_l) if n >= 3 else None)
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,6 @@ class CheckReport:
     min_slack: object
     min_slack_x: object
     violations: tuple
-    prec_bits: int
 
 
 @dataclass(frozen=True)
@@ -148,13 +146,13 @@ def _interval_context():
     return type(mpmath.iv)()
 
 
-def _certified(ctx, enclose, verdict, prec_bits):
+def _certified(ctx, enclose, verdict):
     """verdict(enclose(ctx)) for an interval enclosure of the true value,
     where verdict returns None while the interval is too wide.  Tries
-    prec_bits and four doublings of it in the interval context ctx, then
+    THETA_BITS and four doublings of it in the interval context ctx, then
     raises ArithmeticError."""
     for k in range(5):
-        ctx.prec = prec_bits << k
+        ctx.prec = THETA_BITS << k
         answer = verdict(enclose(ctx))
         if answer is not None:
             return answer
@@ -176,18 +174,19 @@ def _rational(ctx, r):
     return ctx.mpf(r.numerator) / r.denominator
 
 
-def _quotient(r, prec):
-    """r at prec, rounded as mpf(r.numerator) / r.denominator rounds it."""
-    return mpf_div(from_int(r.numerator, prec, "n"), from_int(r.denominator), prec, "n")
+def _quotient(r):
+    """r at THETA_BITS, rounded as mpf(r.numerator) / r.denominator rounds it."""
+    num = from_int(r.numerator, THETA_BITS, "n")
+    return _make_mpf(mpf_div(num, from_int(r.denominator), THETA_BITS, "n"))
 
 
 def _minus(theta_p, x):
     return lambda ctx: theta_p(ctx) - _rational(ctx, x)
 
 
-def _below(ctx, theta_p, x, prec_bits):
+def _below(ctx, theta_p, x):
     """theta < x for an enclosure theta_p of theta and an exact rational x."""
-    return _certified(ctx, _minus(theta_p, x), _sign, prec_bits) < 0
+    return _certified(ctx, _minus(theta_p, x), _sign) < 0
 
 
 def _dusart_slack(primes, p):
@@ -283,23 +282,22 @@ def _candidates(screen):
 def _sweep(name, table, screen, point, points_checked):
     """The report of one sweep.  point(k) gives, for each point k the screen
     cannot settle, (x, where, enclose): enclose(ctx) is the interval
-    enclosure of its slack, whose midpoint at prec_bits, round to nearest,
+    enclosure of its slack, whose midpoint at THETA_BITS, round to nearest,
     is the reported slack.  The first minimum is kept on a tie."""
-    prec = table.prec_bits
     ctx = _interval_context()
     violations = []
     min_slack = min_x = None
     for k in _candidates(screen):
         x, where, enclose = point(k)
-        ctx.prec = prec  # an escalation leaves it raised
+        ctx.prec = THETA_BITS  # an escalation leaves it raised
         lo, hi = enclose(ctx)._mpi_
-        slack = mpf_shift(mpf_add(lo, hi, prec, "n"), -1)
+        slack = mpf_shift(mpf_add(lo, hi, THETA_BITS, "n"), -1)
         if min_slack is None or mpf_lt(slack, min_slack):
             min_slack, min_x = slack, x
-        if mpf_le(lo, fzero) and _certified(ctx, enclose, _sign, prec) < 0:
+        if mpf_le(lo, fzero) and _certified(ctx, enclose, _sign) < 0:
             violations.append((*where, _make_mpf(slack)))
     return CheckReport(
-        name, not violations, points_checked, _make_mpf(min_slack), min_x, tuple(violations), prec
+        name, not violations, points_checked, _make_mpf(min_slack), min_x, tuple(violations)
     )
 
 
@@ -322,7 +320,7 @@ def verify_lemma_theta(table):
     def point(k):  # theta(p_idx) against the segment's sup
         idx = max(k - 1, 0)
         sup = Fraction(1, 2) if k == 0 else Fraction((ps[k] if k < n else table.limit) - 2, 2)
-        x = _make_mpf(_quotient(sup, table.prec_bits))
+        x = _quotient(sup)
         return x, (ps[idx], sup), _minus(_theta_enclosure(ps[: idx + 1]), sup)
 
     return _sweep("theta(2x+2) > x", table, _lemma_screen(table), point, n + 1)
@@ -370,7 +368,7 @@ def failure_intervals(table, x_max=None):
         primorial *= p
         seg_hi = min(Fraction(ps[i + 1], 2), cap)
         theta_p = lambda c: c.log(primorial)
-        if _below(ctx, theta_p, seg_lo, table.prec_bits):
+        if _below(ctx, theta_p, seg_lo):
             # fails on the whole segment; cur is open: theta(p_prev) < theta(p) < seg_lo
             cur[3] = seg_hi
             continue
@@ -378,13 +376,13 @@ def failure_intervals(table, x_max=None):
             intervals.append(cur)
         # failure starts inside the segment, at theta(p) = log(primorial),
         # unless theta(p) clears the segment too
-        inside = _below(ctx, theta_p, seg_hi, table.prec_bits)
-        lo = _make_mpf(mpf_log(from_int(primorial), table.prec_bits, "n"))
+        inside = _below(ctx, theta_p, seg_hi)
+        lo = _make_mpf(mpf_log(from_int(primorial), THETA_BITS, "n"))
         cur = [lo, primorial, None, seg_hi] if inside else None
     if cur is not None:
         intervals.append(cur)
     return tuple(
-        FailureInterval(lo, _make_mpf(_quotient(hi, table.prec_bits)), log_arg, lo_exact, hi)
+        FailureInterval(lo, _quotient(hi), log_arg, lo_exact, hi)
         for lo, log_arg, lo_exact, hi in intervals
     )
 
@@ -398,6 +396,6 @@ def exceptional_levels(table):
     for iv in failure_intervals(table):
         # exp of a nonzero rational is irrational, so a narrow enough
         # enclosure of exp(hi) always lies between two integers
-        exp_hi = _certified(ctx, lambda c: c.exp(_rational(c, iv.hi_exact)), _floor, table.prec_bits)
+        exp_hi = _certified(ctx, lambda c: c.exp(_rational(c, iv.hi_exact)), _floor)
         out.extend(range(iv.lo_log_arg, exp_hi + 1))
     return tuple(out)

@@ -36,7 +36,7 @@ from .bounds import (
 )
 from .hecke import _decimal, charpoly_t2, check_irreducible, distinguish, eigenform_coeffs, trace_t2
 from .modforms import dim_cusp, miller_basis
-from .primes import primorial_row, sieve
+from .primes import THETA_BITS, primorial_row, sieve
 from .scan import MAEDA_CAVEAT, run_scan
 
 
@@ -325,7 +325,7 @@ def _cmd_bound(args):
             "main_bound": _fmt(rep.main_bound),
             "asymptotic": None if rep.asymptotic is None else [_fmt(v) for v in rep.asymptotic],
             "asymptotic_note": ASYMPTOTIC_NOTE,
-            "prec_bits": rep.prec_bits,
+            "prec_bits": THETA_BITS,
         }))
         return 0
     print(f"N={rep.level} p={rep.p} murty_bound={rep.murty_bound} main_bound={_fmt(rep.main_bound)}")
@@ -366,7 +366,7 @@ def _check_payload(rep):
         "min_slack": _fmt(rep.min_slack),
         "min_slack_x": _fmt(rep.min_slack_x),
         "violations": len(rep.violations),
-        "prec_bits": rep.prec_bits,
+        "prec_bits": THETA_BITS,
     }
 
 

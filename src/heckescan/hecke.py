@@ -242,7 +242,8 @@ def check_irreducible(poly, prime_budget=None):
     For a CharPoly of weight k the primes start above k, where reductions
     are far more often squarefree and informative; a plain coefficient
     list starts at 2.  A prime whose reduction is not squarefree is
-    skipped but still counts against the budget (default 25 * degree).
+    skipped but still counts against the budget (default 25 * degree;
+    below 1 it is an error, whatever the degree).
     witness_prime is the prime that closed the certificate (None for
     degree 1).  Reducibility is certified only through an exhibited
     rational root.  If no verdict is reached within the budget, the result
@@ -252,15 +253,15 @@ def check_irreducible(poly, prime_budget=None):
     d = len(coeffs) - 1
     if d == 0:
         raise ValueError("constant polynomial has no irreducibility verdict")
+    if prime_budget is None:
+        prime_budget = 25 * d
+    if prime_budget < 1:
+        raise ValueError("prime budget must be positive")
     if d == 1:
         return IrreducibilityVerdict("irreducible")
     degrees = _integer_roots(coeffs)
     if degrees:
         return IrreducibilityVerdict("reducible", factor_degrees=degrees)
-    if prime_budget is None:
-        prime_budget = 25 * d
-    if prime_budget < 1:
-        raise ValueError("prime budget must be positive")
     asc = coeffs[::-1]
     # bit e set: a factor of degree e over Q is not yet ruled out
     open_degrees = (1 << d) - 2

@@ -1,9 +1,9 @@
 """Prime sieve, Chebyshev theta prefix sums, primorial rows, and the
 smallest prime not dividing N.
 
-theta values are extended-precision reals (default 96 bits, never below
-80); they come from summing logs of the exact sieved primes, so the table
-is a faithful sample of the step function, not an analytic approximation.
+theta values are extended-precision reals of THETA_BITS = 96 bits; they
+come from summing logs of the exact sieved primes, so the table is a
+faithful sample of the step function, not an analytic approximation.
 They are summed on first read: the theta sweeps work from the primes alone.
 """
 
@@ -25,26 +25,24 @@ try:
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     _mpz = int
 
-DEFAULT_THETA_BITS = 96
+THETA_BITS = 96
 
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes <= limit, and the precision of their theta sums.
-    Immutable; share freely across threads."""
+    """All primes <= limit.  Immutable; share freely across threads."""
 
     limit: int
     primes: tuple[int, ...]
-    prec_bits: int
 
     @functools.cached_property
     def theta_prefix(self):
         """theta_prefix[i] is sum(log p) over the first i+1 primes at
-        prec_bits, built on first read (`theta`, `primorial_row`,
+        THETA_BITS, built on first read (`theta`, `primorial_row`,
         `theta-plot`)."""
-        # the raw-tuple form of total += mpmath.log(p) under workprec(prec_bits):
+        # the raw-tuple form of total += mpmath.log(p) under workprec(THETA_BITS):
         # the same libmp calls at the same precision and rounding, bit for bit
-        prec = self.prec_bits
+        prec = THETA_BITS
         log, add, from_int, make_mpf = libmp.mpf_log, libmp.mpf_add, libmp.from_int, mpmath.mp.make_mpf
         prefix = []
         total = libmp.fzero
@@ -76,20 +74,12 @@ def _sieve_flags(limit):
     return flags
 
 
-def _require_prec_bits(prec_bits):
-    """The precision floor shared by the theta tables and the bound functions."""
-    if prec_bits < 80:
-        raise ValueError("precision below 80 bits is not supported")
-
-
-def sieve(limit, prec_bits=DEFAULT_THETA_BITS):
-    """Sieve all primes <= limit into a table whose theta sums will be
-    taken at prec_bits; no log is taken here."""
+def sieve(limit):
+    """Sieve all primes <= limit into a table; no log is taken here."""
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
-    _require_prec_bits(prec_bits)
     flags = _sieve_flags(limit)
-    return PrimeTable(limit, tuple(compress(range(limit + 1), flags)), prec_bits)
+    return PrimeTable(limit, tuple(compress(range(limit + 1), flags)))
 
 
 def theta(x, table):

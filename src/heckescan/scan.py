@@ -159,9 +159,10 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
     in the file are kept, not recomputed (a torn one is recomputed).
     Without resume, a file that already holds a weight of the range is
     refused before anything is computed, so a scan never stores a weight
-    twice.  In both modes stored dimensions are re-checked against the
-    formula.  The report covers exactly the requested range, sorted by
-    weight, with duplicate detection on the (dim, trace) pairs.
+    twice.  In both modes a stored odd weight is refused and stored
+    dimensions are re-checked against the formula.  The report covers
+    exactly the requested range, sorted by weight, with duplicate
+    detection on the (dim, trace) pairs.
     """
     if k_min > k_max:
         raise ValueError(f"empty weight range: {k_min} > {k_max}")
@@ -173,6 +174,10 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
     if output_path and os.path.exists(output_path):
         torn_tail = drop_torn_tail(output_path)
         for rec in load_records(output_path):
+            if rec.k % 2:
+                raise ValueError(
+                    f"{output_path}: stored record of odd weight {rec.k}; a scan writes even weights only"
+                )
             if rec.dim != dim_cusp(rec.k):
                 raise ValueError(
                     f"{output_path}: stored dim {rec.dim} for weight {rec.k} "

@@ -40,7 +40,7 @@ def undecidable_enclosures(monkeypatch):
 
     certified = b._certified
 
-    def widened(ctx, enclose, verdict, prec_bits):
-        return certified(ctx, lambda c: enclose(c) + c.mpf([-1, 1]), verdict, prec_bits)
+    def widened(ctx, enclose, verdict):
+        return certified(ctx, lambda c: enclose(c) + c.mpf([-1, 1]), verdict)
 
     monkeypatch.setattr(b, "_certified", widened)

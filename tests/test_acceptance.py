@@ -29,7 +29,7 @@ from heckescan.hecke import (
     trace_t2,
 )
 from heckescan.modforms import miller_basis
-from heckescan.primes import sieve, smallest_nondivisor_prime
+from heckescan.primes import THETA_BITS, sieve, smallest_nondivisor_prime
 from heckescan.scan import run_scan
 from heckescan.series import IntSeries, series_mul
 
@@ -159,7 +159,7 @@ def test_acceptance_06_shifted_theta_inequality_to_1e6():
 
     ivs = failure_intervals(table, x_max=Fraction(20))
     assert len(ivs) == 4
-    with mpmath.workprec(table.prec_bits):
+    with mpmath.workprec(THETA_BITS):
         tol = mpmath.mpf(10) ** -20
         for iv, lo_arg, hi in zip(
             ivs,

@@ -20,7 +20,7 @@ from heckescan.bounds import (
     verify_dusart,
     verify_lemma_theta,
 )
-from heckescan.primes import sieve
+from heckescan.primes import THETA_BITS, sieve
 
 EXPECTED_LEVELS = (
     tuple(range(1, 5)) + tuple(range(6, 13)) + tuple(range(30, 34)) + tuple(range(210, 245))
@@ -114,13 +114,13 @@ def test_asymptotic_near_e_to_the_e():
 # mpf arithmetic under workprec, one log n per function.
 
 
-def oracle_main_bound(n, prec_bits):
-    with mpmath.workprec(prec_bits):
+def oracle_main_bound(n):
+    with mpmath.workprec(THETA_BITS):
         return 4 * (mpmath.log(n) + 1) ** 2
 
 
-def oracle_asymptotic_bounds(n, prec_bits):
-    with mpmath.workprec(prec_bits):
+def oracle_asymptotic_bounds(n):
+    with mpmath.workprec(THETA_BITS):
         big_l = mpmath.log(n)
         log_l = mpmath.log(big_l)
         e1 = (big_l + big_l ** mpmath.mpf("0.525")) ** 2
@@ -138,16 +138,15 @@ def _oracle_levels():
     )
 
 
-@pytest.mark.parametrize("prec_bits", [80, 96, 128])
-def test_bound_functions_equal_the_workprec_oracle(prec_bits):
+def test_bound_functions_equal_the_workprec_oracle():
     for n in _oracle_levels():
-        main = oracle_main_bound(n, prec_bits)._mpf_
-        asym = tuple(v._mpf_ for v in oracle_asymptotic_bounds(n, prec_bits)) if n >= 3 else None
-        assert main_bound(n, prec_bits)._mpf_ == main, n
+        main = oracle_main_bound(n)._mpf_
+        asym = tuple(v._mpf_ for v in oracle_asymptotic_bounds(n)) if n >= 3 else None
+        assert main_bound(n)._mpf_ == main, n
         if asym is not None:
-            assert tuple(v._mpf_ for v in asymptotic_bounds(n, prec_bits)) == asym, n
-        rep = bound_report(n, prec_bits)
-        assert (rep.level, rep.prec_bits) == (n, prec_bits)
+            assert tuple(v._mpf_ for v in asymptotic_bounds(n)) == asym, n
+        rep = bound_report(n)
+        assert rep.level == n
         assert rep.murty_bound == rep.p**2 == murty_bound(n)
         assert rep.main_bound._mpf_ == main, n
         assert _bits(rep.asymptotic) == asym, n
@@ -160,14 +159,6 @@ def test_bound_functions_keep_their_level_checks():
                 fn(n)
     assert bound_report(1).asymptotic is None
     assert bound_report(2).asymptotic is None
-
-
-@pytest.mark.parametrize("fn", [main_bound, asymptotic_bounds, bound_report, sieve])
-def test_precision_floor_of_80_bits(fn):
-    for prec_bits in (2, 8, 79):
-        with pytest.raises(ValueError, match="precision below 80 bits is not supported"):
-            fn(10, prec_bits)
-    assert fn(10, 80)
 
 
 def _interleaved(*targets):
@@ -186,54 +177,50 @@ def _interleaved(*targets):
     assert not any(t.is_alive() for t in threads)
 
 
-def test_bound_report_is_thread_safe_across_precisions():
-    # reports at 80 and 128 bits interleaved as finely as the interpreter
-    # allows must equal the serial ones and leave mpmath's precision alone
+def test_results_never_depend_on_mpmath_global_precision():
+    # bound reports, both sweeps and the failure intervals in four threads,
+    # interleaved as finely as the interpreter allows beside a bystander
+    # that sets mpmath's precision to 53 and 300 bits in turn and takes
+    # log 3 at each: every result must equal the serial one, and so must
+    # every log 3 of the bystander
     levels = range(3, 2003)
-    precs = (80, 128, 80, 128)
-    want = {prec: [bound_report(n, prec) for n in levels] for prec in set(precs)}
-    mp_prec = mpmath.mp.prec
-    got = [None] * len(precs)
+    big, small = sieve(3000), sieve(64)
 
-    def work(i):
-        got[i] = [bound_report(n, precs[i]) for n in levels]
-
-    _interleaved(*(lambda i=i: work(i) for i in range(len(precs))))
-    mismatches = sum(
-        _fields(a) != _fields(b) for i, prec in enumerate(precs) for a, b in zip(got[i], want[prec])
-    )
-    assert mismatches == 0
-    assert mpmath.mp.prec == mp_prec
-
-
-def test_sweeps_are_thread_safe_across_precisions():
-    # both sweeps and the failure intervals of tables at 80 and 128 bits,
-    # interleaved beside a thread computing log 3 at mpmath's default
-    # precision: every value must equal the serial one, and mpmath's
-    # precision must be left alone
-    precs = (80, 128, 80, 128)
-    tables = {prec: (sieve(3000, prec), sieve(64, prec)) for prec in set(precs)}
-
-    def sweep(prec):
-        big, small = tables[prec]
-        reports = (verify_lemma_theta(big), verify_dusart(big)) + failure_intervals(small)
+    def results():
+        reports = [bound_report(n) for n in levels]
+        reports += [verify_lemma_theta(big), verify_dusart(big), *failure_intervals(small)]
         return [_fields(r) for r in reports]
 
-    want = {prec: sweep(prec) for prec in tables}
-    log3 = mpmath.log(3)._mpf_
+    want = results()
     mp_prec = mpmath.mp.prec
-    got = [None] * len(precs)
+    log3 = {}
+    for prec in (53, 300):
+        with mpmath.workprec(prec):
+            log3[prec] = mpmath.log(3)._mpf_
+    got = [()] * 4
+    finished = []
     wrong_logs = []
 
     def work(i):
-        got[i] = sweep(precs[i])
+        try:
+            got[i] = results()
+        finally:
+            finished.append(i)
 
     def bystander():
-        wrong_logs.extend(v for v in (mpmath.log(3)._mpf_ for _ in range(20_000)) if v != log3)
+        try:
+            while len(finished) < len(got):
+                for prec in (53, 300):
+                    mpmath.mp.prec = prec
+                    if mpmath.log(3)._mpf_ != log3[prec]:
+                        wrong_logs.append(prec)
+        finally:
+            mpmath.mp.prec = mp_prec
 
-    _interleaved(bystander, *(lambda i=i: work(i) for i in range(len(precs))))
-    mismatches = sum(a != b for i, prec in enumerate(precs) for a, b in zip(got[i], want[prec]))
-    assert (mismatches, len(wrong_logs), mpmath.mp.prec) == (0, 0, mp_prec)
+    _interleaved(bystander, *(lambda i=i: work(i) for i in range(len(got))))
+    mismatches = sum(a != b for g in got for a, b in zip(g, want))
+    assert (mismatches, [len(g) for g in got], wrong_logs) == (0, [len(want)] * 4, [])
+    assert mpmath.mp.prec == mp_prec
 
 
 def test_verify_lemma_small_table(table_10k):
@@ -241,7 +228,7 @@ def test_verify_lemma_small_table(table_10k):
     assert rep.ok
     assert rep.violations == ()
     # the tight spot is the very first segment: theta(2) >= 1/2
-    with mpmath.workprec(table_10k.prec_bits):
+    with mpmath.workprec(THETA_BITS):
         want = mpmath.log(2) - Fraction(1, 2)
         assert abs(rep.min_slack - want) < mpmath.mpf(2) ** -80
     assert rep.min_slack_x == 0.5
@@ -297,7 +284,7 @@ def test_failure_intervals_match_known_endpoints(table64):
         Fraction(7, 2),
         Fraction(11, 2),
     ]
-    with mpmath.workprec(table64.prec_bits):
+    with mpmath.workprec(THETA_BITS):
         tol = mpmath.mpf(10) ** -30
         for iv, arg in zip(ivs, (1, 6, 30, 210)):
             assert abs(iv.lo - mpmath.log(arg)) < tol
@@ -358,7 +345,7 @@ def test_theta_comparison_near_tie_reruns_at_higher_precision(table64, monkeypat
         with mpmath.workprec(400):
             diff = mpmath.log(math.prod(ps[: idx + 1])) - mpmath.mpf(tie.numerator) / tie.denominator
             assert abs(diff) > mpmath.mpf(2) ** -300
-        below = b._below(b._interval_context(), b._theta_enclosure(ps[: idx + 1]), tie, table64.prec_bits)
+        below = b._below(b._interval_context(), b._theta_enclosure(ps[: idx + 1]), tie)
         assert below == (diff < 0)
     # a screen that reads theta(7) within 2^-40 of its segment's bound 9/2
     # takes that point for the minimum and sends it to the exact primes,
@@ -451,7 +438,7 @@ def _screen_margin(table):
     """Bound on the rounding error of every slack the oracles compute from
     the stored prefix sums; a slack this close to 0 goes to `_certified`.
 
-    With u = 2^-prec_bits, n primes and T the last prefix sum, a stored
+    With u = 2^-THETA_BITS, n primes and T the last prefix sum, a stored
     theta (logs within 2 ulp, one rounding per addition) is off by at most
     E = 4(n + 2)(T + 2)u.  Dusart reads log p as a difference of two of
     them, off by at most 2E + u log p; while that is below log(2)/10 (any
@@ -462,7 +449,7 @@ def _screen_margin(table):
     (1 + 6 c A)(E + 30 limit u)."""
     import heckescan.bounds as b
 
-    u = 2.0 ** -table.prec_bits
+    u = 2.0**-THETA_BITS
     n, limit = len(table.primes), table.limit
     err = 4 * (n + 2) * (float(table.theta_prefix[-1]) + 2) * u
     amp = max(6.01, limit / math.log(limit) ** 3)
@@ -481,7 +468,7 @@ def oracle_lemma_theta(table, slacks=None):
     min_slack = None
     min_x = None
     checked = 0
-    with mpmath.workprec(table.prec_bits):
+    with mpmath.workprec(THETA_BITS):
         sups = [(0, Fraction(1, 2))]
         sups.extend((i, Fraction(ps[i + 1] - 2, 2)) for i in range(n - 1))
         sups.append((n - 1, Fraction(table.limit - 2, 2)))
@@ -495,12 +482,10 @@ def oracle_lemma_theta(table, slacks=None):
                 min_slack = slack
                 min_x = sup_mpf
             if slack < margin and (
-                slack <= -margin or b._below(ctx, b._theta_enclosure(ps[: idx + 1]), sup, table.prec_bits)
+                slack <= -margin or b._below(ctx, b._theta_enclosure(ps[: idx + 1]), sup)
             ):
                 violations.append((ps[idx], sup, slack))
-    return b.CheckReport(
-        "theta(2x+2) > x", not violations, checked, min_slack, min_x, tuple(violations), table.prec_bits
-    )
+    return b.CheckReport("theta(2x+2) > x", not violations, checked, min_slack, min_x, tuple(violations))
 
 
 def oracle_dusart(table, slacks=None):
@@ -513,8 +498,7 @@ def oracle_dusart(table, slacks=None):
     min_slack = None
     min_x = None
     checked = 0
-    prec = table.prec_bits
-    with mpmath.workprec(prec):
+    with mpmath.workprec(THETA_BITS):
         coeff = mpmath.mpf(b.DUSART_COEFF.numerator) / b.DUSART_COEFF.denominator
         prev = mpmath.mpf(0)
         for i, p in enumerate(ps):
@@ -531,7 +515,7 @@ def oracle_dusart(table, slacks=None):
                     min_x = p
                 if slack < margin and (
                     slack <= -margin
-                    or b._certified(ctx, b._dusart_slack(ps[: i + (value is th)], p), b._sign, prec) < 0
+                    or b._certified(ctx, b._dusart_slack(ps[: i + (value is th)], p), b._sign) < 0
                 ):
                     violations.append((p, "jump" if value is th else "left-limit", slack))
             prev = th
@@ -542,7 +526,6 @@ def oracle_dusart(table, slacks=None):
         min_slack,
         min_x,
         tuple(violations),
-        table.prec_bits,
     )
 
 
@@ -562,7 +545,7 @@ def _fields(rep):
 def _assert_matches_oracle(rep, want, margin):
     """rep has every field of the oracle's report want, except that each
     slack may differ from the oracle's by its rounding margin."""
-    exact = ("name", "ok", "points_checked", "min_slack_x", "prec_bits")
+    exact = ("name", "ok", "points_checked", "min_slack_x")
     assert [_bits(getattr(rep, f)) for f in exact] == [_bits(getattr(want, f)) for f in exact]
     assert [v[:-1] for v in rep.violations] == [v[:-1] for v in want.violations]
     slacks = [(r.min_slack, *(v[-1] for v in r.violations)) for r in (rep, want)]
@@ -703,8 +686,7 @@ def test_sweeps_and_failure_intervals_never_build_the_prefix_sums():
     assert "theta_prefix" not in vars(table)
 
 
-@pytest.mark.parametrize("prec_bits", [80, 96, 128])
-def test_failure_interval_lo_is_log_of_its_argument_at_table_precision(prec_bits):
-    ivs = failure_intervals(sieve(64, prec_bits))
-    with mpmath.workprec(prec_bits):
+def test_failure_interval_lo_is_log_of_its_argument_at_theta_precision():
+    ivs = failure_intervals(sieve(64))
+    with mpmath.workprec(THETA_BITS):
         assert [iv.lo._mpf_ for iv in ivs] == [mpmath.log(iv.lo_log_arg)._mpf_ for iv in ivs]

@@ -87,6 +87,14 @@ def test_charpoly_json(capsys):
     assert data["verdict"]["kind"] == "irreducible"
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_charpoly_rejects_a_prime_budget_below_one_at_degree_1(budget, capsys):
+    argv = ["charpoly", "--weight", "12", "--check-irreducible", "--prime-budget", budget]
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: prime budget must be positive\n")
+
+
 def test_charpoly_prints_coefficients_past_the_int_string_limit(monkeypatch, capsys):
     # str(int) refuses more than 4300 digits; the constant term at k = 600
     # already has more
@@ -252,6 +260,15 @@ def test_scan_resume_reports_a_torn_tail(tmp_path, capsys):
     data = json.loads(captured.out)
     assert (data["resumed"], data["computed"]) == (1, 2)
     assert out.read_text() == "12\t1\t-24\n16\t1\t216\n14\t0\t0\n"
+
+
+def test_scan_resume_onto_a_stored_odd_weight_exits_2(tmp_path, capsys):
+    out = tmp_path / "odd.tsv"
+    out.write_text("13\t0\t0\n12\t1\t-24\n")
+    assert dispatch(["scan", "--min", "12", "--max", "16", "--out", str(out), "--resume", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "odd weight 13" in captured.err
+    assert out.read_text() == "13\t0\t0\n12\t1\t-24\n"
 
 
 def test_scan_twice_without_resume_exits_2(tmp_path, capsys):

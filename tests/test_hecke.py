@@ -368,6 +368,17 @@ def test_constant_polynomial_rejected():
         check_irreducible([1])
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_prime_budget_below_one_rejected_before_the_shortcuts(budget):
+    # degree 1 and an integer root are settled without trying a prime, yet
+    # a budget below 1 is an error there too
+    assert check_irreducible([1, 5], prime_budget=1).kind == "irreducible"
+    assert check_irreducible([1, -3, 2], prime_budget=1).factor_degrees == (1, 1)
+    for poly in ([1, 5], CharPoly(12, (1, 24)), [1, -3, 2]):
+        with pytest.raises(ValueError, match="prime budget must be positive"):
+            check_irreducible(poly, prime_budget=budget)
+
+
 def test_nonmonic_rejected():
     with pytest.raises(ValueError):
         check_irreducible([2, 0, -1])

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 from heckescan.primes import (
+    THETA_BITS,
     primes_above,
     primorial_row,
     sieve,
@@ -42,22 +43,16 @@ def test_sieve_rejects_tiny_limit():
         sieve(1)
 
 
-def test_sieve_rejects_low_precision():
-    with pytest.raises(ValueError):
-        sieve(100, prec_bits=64)
-
-
-@pytest.mark.parametrize("bits", [80, 96, 128])
-def test_sieve_prefix_equals_sequential_mpmath_log_sum(bits):
-    table = sieve(10**4, bits)
+def test_sieve_prefix_equals_sequential_mpmath_log_sum():
+    table = sieve(10**4)
     want = []
-    with mpmath.workprec(bits):
+    with mpmath.workprec(THETA_BITS):
         total = mpmath.mpf(0)
         for p in table.primes:
             total += mpmath.log(p)
             want.append(total._mpf_)
     assert [x._mpf_ for x in table.theta_prefix] == want
-    assert table.prec_bits == bits
+    assert THETA_BITS == 96
 
 
 def test_sieve_membership_matches_trial_division(table_10k):
@@ -72,7 +67,7 @@ def test_theta_empty_sum(table_10k):
 
 
 def test_theta_at_10_is_log_210(table_10k):
-    with mpmath.workprec(table_10k.prec_bits):
+    with mpmath.workprec(THETA_BITS):
         want = mpmath.log(210)
         assert abs(theta(10, table_10k) - want) < mpmath.mpf(2) ** -80
 
@@ -90,7 +85,7 @@ def test_theta_beyond_limit(table_10k):
 def test_theta_jumps_by_log_p(table_10k):
     ps = table_10k.primes
     pre = table_10k.theta_prefix
-    with mpmath.workprec(table_10k.prec_bits):
+    with mpmath.workprec(THETA_BITS):
         for i in (0, 1, 5, 100, 1000):
             before = pre[i - 1] if i else mpmath.mpf(0)
             # each prefix entry carries at most a few ulps of accumulated
@@ -133,17 +128,17 @@ def test_primorial_law_small(table_10k):
 def test_primorial_row_basics(table_10k):
     r1 = primorial_row(1, table_10k)
     assert (r1.k, r1.p_k, r1.gap) == (1, 2, 1)
-    with mpmath.workprec(table_10k.prec_bits):
+    with mpmath.workprec(THETA_BITS):
         assert abs(r1.log_primorial - mpmath.log(2)) < mpmath.mpf(2) ** -88
 
     r4 = primorial_row(4, table_10k)
     assert (r4.k, r4.p_k, r4.gap) == (4, 7, 4)
-    with mpmath.workprec(table_10k.prec_bits):
+    with mpmath.workprec(THETA_BITS):
         assert abs(r4.log_primorial - mpmath.log(210)) < mpmath.mpf(2) ** -80
 
     r5 = primorial_row(5, table_10k)
     assert (r5.k, r5.p_k, r5.gap) == (5, 11, 2)
-    with mpmath.workprec(table_10k.prec_bits):
+    with mpmath.workprec(THETA_BITS):
         assert abs(r5.log_primorial - mpmath.log(2310)) < mpmath.mpf(2) ** -80
 
 
@@ -165,7 +160,7 @@ def test_primorial_row_table_too_small():
 
 def test_exp_theta_matches_exact_primorial(table_10k):
     n = 1
-    with mpmath.workprec(table_10k.prec_bits):
+    with mpmath.workprec(THETA_BITS):
         for k in range(1, 301):
             n *= table_10k.primes[k - 1]
             approx = mpmath.exp(table_10k.theta_prefix[k - 1])

@@ -1,4 +1,5 @@
 import os
+import re
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -247,6 +248,22 @@ def test_resume_rejects_contradictory_dimension(tmp_path):
     out.write_text("12\t3\t-24\n")
     with pytest.raises(ValueError, match="dimension formula"):
         run_scan(2, 30, workers=1, output_path=out, resume=True)
+
+
+def test_resume_rejects_a_stored_odd_weight(tmp_path):
+    out = tmp_path / "odd.tsv"
+    out.write_text("13\t0\t0\n12\t1\t-24\n")
+    before = out.read_bytes()
+    with pytest.raises(ValueError, match=re.escape(f"{out}: stored record of odd weight 13")):
+        run_scan(12, 16, workers=1, output_path=out, resume=True)
+    assert out.read_bytes() == before
+
+
+def test_resume_keeps_negative_even_weights(tmp_path):
+    out = tmp_path / "neg.tsv"
+    run_scan(-10, -2, workers=1, output_path=out)
+    again = run_scan(-10, 12, workers=1, output_path=out, resume=True)
+    assert (again.resumed, again.computed) == (5, 7)
 
 
 def test_resume_ignores_records_outside_range(tmp_path):
