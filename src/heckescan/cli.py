@@ -257,6 +257,9 @@ def _cmd_scan(args):
 
 
 def _cmd_charpoly(args):
+    # refused in every mode, not only where check_irreducible would run
+    if args.prime_budget is not None and args.prime_budget < 1:
+        raise ValueError("prime budget must be positive")
     poly = charpoly_t2(args.weight)
     payload = {
         "weight": poly.weight,

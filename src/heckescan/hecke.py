@@ -15,7 +15,7 @@ import decimal
 from dataclasses import dataclass
 from operator import mul
 
-from .modforms import dim_cusp, miller_basis
+from .modforms import _echelon_basis, dim_cusp, miller_basis
 from .primes import primes_above
 from .series import IntSeries
 
@@ -41,13 +41,17 @@ def t2_coefficient(f, j, k):
 
 def trace_t2(k, basis=None):
     """(dim, trace) of T2 on the weight-k cusp space; (0, 0) for an empty
-    space.  Computes the echelon basis at precision 2*dim unless one is
-    supplied."""
+    space.
+
+    The trace reads only a_(2j)(f_j), so unless a basis is supplied the
+    echelon forms are built as a staircase, f_j through q^(d+j), from a
+    j-invariant chain at precision d rather than the 2d of miller_basis;
+    t2_coefficient checks that every form reaches q^(2j)."""
     d = dim_cusp(k)
     if d == 0:
         return (0, 0)
     if basis is None:
-        basis = miller_basis(k, 2 * d)
+        basis = _echelon_basis(k, d, d, 2 * d)
     t = 0
     for j in range(1, d + 1):
         t += t2_coefficient(basis.form(j), j, k)

@@ -143,7 +143,9 @@ def miller_basis(k, prec=None):
     series product per row.  D has constant term 1, so 1/D is an integer
     series (prod (1 - q^n)^-24) and every g_m stays integral.  The rows
     are then reduced above the diagonal by integer back-substitution,
-    so integrality never has to be cleared.
+    so integrality never has to be cleared.  The chain runs at precision
+    prec - 1, all that row 1 (the one that needs most) reads after its
+    own shift by q.
     """
     if k % 2 != 0:
         raise ValueError(f"weight must be even, got {k}")
@@ -154,13 +156,23 @@ def miller_basis(k, prec=None):
         raise ValueError(f"precision {prec} below 2*dim = {2 * d}")
     if d == 0:
         return MillerBasis(k, 0, ())
+    return _echelon_basis(k, d, prec - 1, prec)
 
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
+
+def _echelon_basis(k, d, chain_prec, cap):
+    """The echelon basis of miller_basis with the j-invariant chain at
+    precision chain_prec and each form cut at q^cap.
+
+    Form f_j reaches q^min(cap, chain_prec + j).  Position n of f_j after
+    back-substitution reads only position n of the forms below it, so a
+    short chain gives a staircase that is exact as far as it goes: with
+    chain_prec = d, f_j holds q^1 .. q^(d+j), enough for the echelon
+    shape and for a_(2j)(f_j), the coefficient the T2 trace reads.
+    """
+    e4 = eisenstein(4, chain_prec + 1)
+    e6 = eisenstein(6, chain_prec + 1)
     e4_cubed = series_pow(e4, 3)
-    # Delta/q: the q-shift leaves precision prec - 1, all that row 1
-    # (the one that needs most) reads after its own shift by q.
-    dq = IntSeries(_discriminant(e4_cubed, e6).coeffs[1:])
+    dq = IntSeries(_discriminant(e4_cubed, e6).coeffs[1:])  # Delta/q
     qj = series_mul(e4_cubed, series_inv(dq))
     a, b = _EIS_MONOMIAL[k % 12]
     g = series_pow(dq, d)
@@ -171,21 +183,22 @@ def miller_basis(k, prec=None):
     for j in range(d, 0, -1):
         if j < d:
             g = series_mul(g, qj)
-        raw.append([0] * j + list(g.coeffs[: prec + 1 - j]))
+        raw.append([0] * j + list(g.coeffs[: cap + 1 - j]))
     raw.reverse()
 
     for j in range(d):
         if raw[j][j + 1] != 1:
             raise ArithmeticError(f"leading coefficient of span form {j + 1} is {raw[j][j + 1]}")
 
-    # Back-substitute: rows below are already final when row j is reduced.
+    # Back-substitute: rows below are already final when row j is reduced,
+    # and each reaches at least as far as row j.
     for j in range(d - 2, -1, -1):
         row = raw[j]
         for i in range(j + 1, d):
             c = row[i + 1]
             if c:
                 fi = raw[i]
-                for n in range(i + 1, prec + 1):
+                for n in range(i + 1, len(row)):
                     row[n] -= c * fi[n]
 
     forms = tuple(IntSeries(row) for row in raw)

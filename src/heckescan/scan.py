@@ -10,6 +10,7 @@ short by a crash, never a record.
 
 from __future__ import annotations
 
+import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -79,13 +80,17 @@ def parse_record_line(line, path="<memory>", line_no=0):
 def load_records(path):
     """Parse a record file; sorted by weight.  Malformed lines and
     duplicated weights are errors naming the line, never skipped."""
-    by_k = {}
     with open(path, encoding="ascii") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            rec = parse_record_line(line, path, line_no)
-            if rec.k in by_k:
-                raise RecordFileError(path, line_no, f"duplicate weight {rec.k}")
-            by_k[rec.k] = rec
+        return _parse_records(fh, path)
+
+
+def _parse_records(lines, path):
+    by_k = {}
+    for line_no, line in enumerate(lines, start=1):
+        rec = parse_record_line(line, path, line_no)
+        if rec.k in by_k:
+            raise RecordFileError(path, line_no, f"duplicate weight {rec.k}")
+        by_k[rec.k] = rec
     return sorted(by_k.values(), key=lambda r: r.k)
 
 
@@ -155,8 +160,9 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
     cancelled and the error propagates; the records written so far stay,
     and a resumed scan finishes the range.  A torn last line (no
     newline) is cut off before anything is appended to the file, and the
-    report carries the cut text.  With resume, weights already present
-    in the file are kept, not recomputed (a torn one is recomputed).
+    report carries the cut text; a refused scan leaves the file as it
+    was.  With resume, weights already present in the file are kept, not
+    recomputed (a torn one is recomputed).
     Without resume, a file that already holds a weight of the range is
     refused before anything is computed, so a scan never stores a weight
     twice.  In both modes a stored odd weight is refused and stored
@@ -172,8 +178,12 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
     existing = {}
     torn_tail = None
     if output_path and os.path.exists(output_path):
-        torn_tail = drop_torn_tail(output_path)
-        for rec in load_records(output_path):
+        # Check the complete records first: a refused scan leaves the
+        # file as it found it, torn tail included.
+        with open(output_path, "rb") as fh:
+            data = fh.read()
+        complete = io.TextIOWrapper(io.BytesIO(data[: data.rfind(b"\n") + 1]), encoding="ascii")
+        for rec in _parse_records(complete, output_path):
             if rec.k % 2:
                 raise ValueError(
                     f"{output_path}: stored record of odd weight {rec.k}; a scan writes even weights only"
@@ -190,6 +200,7 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
                 f"{output_path} already holds weight {min(existing)} of {k_min}..{k_max}; "
                 "use --resume to keep its records, or write to a new file"
             )
+        torn_tail = drop_torn_tail(output_path)
     todo = sorted((k for k in evens if k not in existing), reverse=True)
 
     computed = []

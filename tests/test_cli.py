@@ -95,6 +95,24 @@ def test_charpoly_rejects_a_prime_budget_below_one_at_degree_1(budget, capsys):
     assert (captured.out, captured.err) == ("", "error: prime budget must be positive\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["charpoly", "--weight", "24", "--prime-budget", "-3"],
+    ["charpoly", "--weight", "2", "--check-irreducible", "--prime-budget", "0"],
+    ["charpoly", "--weight", "24", "--check-irreducible", "--prime-budget", "0", "--json"],
+])
+def test_charpoly_rejects_a_prime_budget_below_one_in_every_mode(argv, monkeypatch, capsys):
+    # refused before any charpoly is computed, also where no certificate runs
+    import heckescan.cli
+
+    def no_charpoly(*args, **kwargs):
+        raise AssertionError("charpoly computed before the budget was checked")
+
+    monkeypatch.setattr(heckescan.cli, "charpoly_t2", no_charpoly)
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: prime budget must be positive\n")
+
+
 def test_charpoly_prints_coefficients_past_the_int_string_limit(monkeypatch, capsys):
     # str(int) refuses more than 4300 digits; the constant term at k = 600
     # already has more
@@ -260,6 +278,19 @@ def test_scan_resume_reports_a_torn_tail(tmp_path, capsys):
     data = json.loads(captured.out)
     assert (data["resumed"], data["computed"]) == (1, 2)
     assert out.read_text() == "12\t1\t-24\n16\t1\t216\n14\t0\t0\n"
+
+
+def test_refused_scan_leaves_a_torn_tail_in_place(tmp_path, capsys):
+    # the scan is refused for a stored weight of its range; the torn last
+    # line must still be there, and no warning claims it was cut
+    out = tmp_path / "scan.tsv"
+    before = b"12\t1\t-24\n14\t0\t0\n16\t1\t21"
+    out.write_bytes(before)
+    assert dispatch(["scan", "--min", "12", "--max", "16", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "already holds weight 12" in captured.err
+    assert "torn" not in captured.err
+    assert out.read_bytes() == before
 
 
 def test_scan_resume_onto_a_stored_odd_weight_exits_2(tmp_path, capsys):

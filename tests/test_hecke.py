@@ -252,9 +252,15 @@ def eichler_selberg_trace_t2(k):
     return int(trace)
 
 
-def test_trace_matches_eichler_selberg_formula_to_360():
-    for k in range(2, 361, 2):
+def test_trace_matches_eichler_selberg_formula_to_600():
+    for k in range(2, 601, 2):
         assert trace_t2(k)[1] == eichler_selberg_trace_t2(k), k
+
+
+def test_staircase_trace_equals_the_full_basis_trace_to_300():
+    # trace_t2 without a basis reads the staircase of a precision-d chain
+    for k in range(2, 301, 2):
+        assert trace_t2(k) == trace_t2(k, basis=miller_basis(k)), k
 
 
 def test_trace_matrix_charpoly_agree_sampled_to_600():

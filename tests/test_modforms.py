@@ -11,6 +11,7 @@ from heckescan.modforms import (
     dim_cusp,
     eisenstein,
     miller_basis,
+    _echelon_basis,
 )
 
 # --- independent oracles -------------------------------------------------
@@ -277,6 +278,30 @@ def test_basis_echelon_and_integrality_random_weights():
         basis.validate()
         for f in basis.forms:
             assert all(isinstance(c, int) for c in f.coeffs)
+
+
+def test_staircase_forms_are_the_basis_forms_through_d_plus_j():
+    # the chain at precision d gives f_j exactly through q^(d+j)
+    for k in (12, 24, 26, 38, 48, 100, 122, 240, 302, 480):
+        d = dim_cusp(k)
+        stair = _echelon_basis(k, d, d, 2 * d)
+        for j, (s, f) in enumerate(zip(stair.forms, miller_basis(k).forms), start=1):
+            assert s.prec == d + j, (k, j)
+            assert s.coeffs == f.coeffs[: d + j + 1], (k, j)
+
+
+def test_both_chain_precisions_check_the_leading_coefficients(monkeypatch):
+    import heckescan.modforms
+    from heckescan.hecke import trace_t2
+    from heckescan.series import IntSeries, series_inv
+
+    def doubled_inv(f):  # q*j then starts at 2, and row d-r at 2^r
+        return IntSeries([2 * c for c in series_inv(f).coeffs])
+
+    monkeypatch.setattr(heckescan.modforms, "series_inv", doubled_inv)
+    for build in (miller_basis, trace_t2):
+        with pytest.raises(ArithmeticError, match="span form 1 is 2$"):
+            build(24)
 
 
 def test_validate_catches_broken_basis():

@@ -227,6 +227,22 @@ def test_appending_scan_cuts_a_torn_tail_first(tmp_path):
     assert [r.k for r in load_records(path)] == [12, 18, 20]
 
 
+def test_refused_scan_leaves_the_file_byte_identical(tmp_path):
+    # every refusal comes before the torn tail is cut
+    path = tmp_path / "r.tsv"
+    for head, resume, reason in (
+        ("12\t1\t-24\n", False, "--resume"),
+        ("13\t0\t0\n", True, "odd weight"),
+        ("24\t1\t1080\n", True, "dimension formula"),
+        ("12\t1\n", True, "3 tab-separated fields"),
+    ):
+        before = (head + "16\t1\t21").encode()
+        path.write_bytes(before)
+        with pytest.raises(ValueError, match=reason):
+            run_scan(12, 16, workers=1, output_path=path, resume=resume)
+        assert path.read_bytes() == before, reason
+
+
 def test_scan_refuses_to_store_a_weight_twice(tmp_path):
     # a second scan without resume over weights the file already holds
     # must stop before computing or appending anything
