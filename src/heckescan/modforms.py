@@ -4,6 +4,13 @@ Provides Bernoulli numbers, the normalized Eisenstein series E4/E6/...,
 the discriminant cusp form, the dimension of the weight-k cusp space,
 and the echelonized integral basis f_1, ..., f_d of that space with
 f_j = q^j + O(q^(d+1)).
+
+The weight-independent series every basis is built from, E4 and E6
+through q^(P+1) and Delta/q and q*j = E4^3 / (Delta/q) through q^P, live
+in one process-wide cache, `_level1_cache`.  It only grows: a call that
+needs a precision above P rebuilds it at exactly that precision, and
+every caller reads exact truncations of it, so a result never depends
+on what the process computed before.
 """
 
 from __future__ import annotations
@@ -17,6 +24,10 @@ from .series import IntSeries, series_inv, series_mul, series_pow
 
 _bern_cache: list[Fraction] = [Fraction(1)]
 _bern_lock = threading.Lock()
+
+# (P, E4, E6, Delta/q, q*j), see the module docstring; None until first use.
+_level1_cache: tuple[int, IntSeries, IntSeries, IntSeries, IntSeries] | None = None
+_level1_lock = threading.Lock()
 
 # k mod 12 -> exponents (a, b) with E4^a * E6^b of weight k mod 12
 # (weight 14 when k = 2 mod 12, since weight 2 has no Eisenstein series).
@@ -76,9 +87,33 @@ def delta(prec):
     """The discriminant cusp form q - 24q^2 + 252q^3 - ..., weight 12."""
     if prec < 0:
         raise ValueError("precision must be nonnegative")
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    return _discriminant(series_pow(e4, 3), e6)
+    dq = _level1(max(prec - 1, 0))[2]
+    return IntSeries((0,) + dq.coeffs[:prec])
+
+
+def _level1(prec):
+    """(E4, E6, Delta/q, q*j), the first two through q^(prec+1) and the
+    others through q^prec, cut from the process-wide cache; a cache
+    shorter than prec is first rebuilt at exactly prec."""
+    global _level1_cache
+    cache = _level1_cache
+    if cache is None or cache[0] < prec:
+        with _level1_lock:
+            cache = _level1_cache
+            if cache is None or cache[0] < prec:
+                e4 = eisenstein(4, prec + 1)
+                e6 = eisenstein(6, prec + 1)
+                e4_cubed = series_pow(e4, 3)
+                dq = IntSeries(_discriminant(e4_cubed, e6).coeffs[1:])
+                qj = series_mul(e4_cubed, series_inv(dq))
+                cache = _level1_cache = (prec, e4, e6, dq, qj)
+    _, e4, e6, dq, qj = cache
+    return (
+        IntSeries(e4.coeffs[: prec + 2]),
+        IntSeries(e6.coeffs[: prec + 2]),
+        IntSeries(dq.coeffs[: prec + 1]),
+        IntSeries(qj.coeffs[: prec + 1]),
+    )
 
 
 def _discriminant(e4_cubed, e6):
@@ -169,11 +204,7 @@ def _echelon_basis(k, d, chain_prec, cap):
     chain_prec = d, f_j holds q^1 .. q^(d+j), enough for the echelon
     shape and for a_(2j)(f_j), the coefficient the T2 trace reads.
     """
-    e4 = eisenstein(4, chain_prec + 1)
-    e6 = eisenstein(6, chain_prec + 1)
-    e4_cubed = series_pow(e4, 3)
-    dq = IntSeries(_discriminant(e4_cubed, e6).coeffs[1:])  # Delta/q
-    qj = series_mul(e4_cubed, series_inv(dq))
+    e4, e6, dq, qj = _level1(chain_prec)
     a, b = _EIS_MONOMIAL[k % 12]
     g = series_pow(dq, d)
     for factor in [e4] * a + [e6] * b:  # times head = E4^a E6^b

@@ -153,9 +153,12 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
 
     Weights are started largest first, in this process when workers is 1
     and otherwise in a pool of that many processes, capped by the number
-    of weights to compute.  Records are appended
-    to output_path as they complete (flushed per line, so an interrupted
-    scan loses at most the records in flight).  When a weight raises, or
+    of weights to compute.  The pool is handed batches of consecutive
+    weights, each costing at most the heaviest weight (see _batches), and
+    a batch's records are written when the whole batch is done.  Records
+    are appended to output_path as they complete, flushed per line, so an
+    interrupted scan loses at most the weight in flight in this process,
+    or the batches in flight in the pool.  When a weight raises, or
     a worker dies (BrokenProcessPool), the weights still queued are
     cancelled and the error propagates; the records written so far stay,
     and a resumed scan finishes the range.  A torn last line (no
@@ -213,10 +216,11 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
         else:
             # the pool forks all its workers at the first submit
             with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-                futures = [pool.submit(compute_record, k) for k in todo]
+                futures = [pool.submit(_compute_batch, batch) for batch in _batches(todo)]
                 try:
                     for fut in as_completed(futures):
-                        _emit(fut.result(), computed, out)
+                        for rec in fut.result():
+                            _emit(rec, computed, out)
                 except BaseException:
                     # Weights still queued would only be computed and
                     # discarded; the ones already running finish first.
@@ -234,6 +238,31 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
         k_min, k_max, tuple(final), detect_duplicates(final), len(computed), resumed, elapsed,
         torn_tail,
     )
+
+
+def _batches(todo):
+    """Split todo, largest weight first, into runs of consecutive weights
+    whose summed cost is at most that of the heaviest weight in todo, the
+    cost of weight k being dim_cusp(k)^3.  The pool then handles fewer
+    tasks, and no task outweighs the heaviest weight, so the makespan
+    bound of largest-first scheduling still holds."""
+    costs = [dim_cusp(k) ** 3 for k in todo]
+    cap = max(costs)
+    batches, run, total = [], [], 0
+    for k, cost in zip(todo, costs):
+        if run and total + cost > cap:
+            batches.append(run)
+            run, total = [], 0
+        run.append(k)
+        total += cost
+    batches.append(run)
+    return batches
+
+
+def _compute_batch(batch):
+    """The records of a batch, in a pool worker.  compute_record is looked
+    up at call time, so a stand-in set on this module reaches the workers."""
+    return [compute_record(k) for k in batch]
 
 
 def _emit(rec, computed, out):

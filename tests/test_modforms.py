@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import heckescan.modforms
 from heckescan.modforms import (
     MillerBasis,
     bernoulli,
@@ -11,8 +12,12 @@ from heckescan.modforms import (
     dim_cusp,
     eisenstein,
     miller_basis,
+    _discriminant,
     _echelon_basis,
+    _level1,
 )
+from heckescan.series import IntSeries, series_inv, series_mul, series_pow
+from test_bounds import _interleaved
 
 # --- independent oracles -------------------------------------------------
 
@@ -298,10 +303,97 @@ def test_both_chain_precisions_check_the_leading_coefficients(monkeypatch):
     def doubled_inv(f):  # q*j then starts at 2, and row d-r at 2^r
         return IntSeries([2 * c for c in series_inv(f).coeffs])
 
+    # an empty cache, so that the level-1 series are built with the broken
+    # inverse; the cache of the session comes back at undo
+    monkeypatch.setattr(heckescan.modforms, "_level1_cache", None)
     monkeypatch.setattr(heckescan.modforms, "series_inv", doubled_inv)
     for build in (miller_basis, trace_t2):
         with pytest.raises(ArithmeticError, match="span form 1 is 2$"):
             build(24)
+    monkeypatch.undo()
+    assert trace_t2(24) == (2, 1080)
+
+
+# --- the level-1 cache -------------------------------------------------
+
+
+def fresh_level1(prec):
+    """(E4, E6, Delta/q, q*j) built from nothing at precision prec."""
+    e4 = eisenstein(4, prec + 1)
+    e6 = eisenstein(6, prec + 1)
+    e4_cubed = series_pow(e4, 3)
+    dq = IntSeries(_discriminant(e4_cubed, e6).coeffs[1:])
+    return e4, e6, dq, series_mul(e4_cubed, series_inv(dq))
+
+
+@pytest.fixture
+def empty_level1(monkeypatch):
+    """An empty level-1 cache; the cache of the session comes back after."""
+    monkeypatch.setattr(heckescan.modforms, "_level1_cache", None)
+
+
+def test_level1_cache_cuts_equal_fresh_series_in_any_order(empty_level1):
+    want = {prec: fresh_level1(prec) for prec in range(121)}
+    ascending = list(range(121))
+    shuffled = ascending[:]
+    random.Random(7).shuffle(shuffled)
+    for order in (ascending, ascending[::-1], shuffled):
+        heckescan.modforms._level1_cache = None
+        for prec in order:
+            assert _level1(prec) == want[prec], prec
+        assert heckescan.modforms._level1_cache[0] == 120
+
+
+def test_level1_cache_is_rebuilt_at_exactly_the_precision_asked(empty_level1):
+    for asked, held in ((5, 5), (3, 5), (40, 40), (12, 40), (41, 41)):
+        _level1(asked)
+        assert heckescan.modforms._level1_cache[0] == held, asked
+    assert delta(60).prec == 60
+    assert heckescan.modforms._level1_cache[0] == 59
+
+
+def test_cold_and_warm_cache_give_identical_bases(empty_level1):
+    def bases(k):
+        d = dim_cusp(k)
+        stair = _echelon_basis(k, d, d, 2 * d) if d else None
+        return miller_basis(k), stair
+
+    weights = range(0, 301, 2)
+    cold = {}
+    for k in weights:
+        heckescan.modforms._level1_cache = None
+        cold[k] = bases(k)
+    _level1(2 * dim_cusp(300))
+    for k in weights:
+        assert bases(k) == cold[k], k
+    assert heckescan.modforms._level1_cache[0] == 2 * dim_cusp(300)
+
+
+def test_level1_cache_across_threads(empty_level1):
+    # four threads ask for precisions in different orders, interleaved as
+    # finely as the interpreter allows: each gets the fresh series, and
+    # the cache ends at the largest precision any of them asked for
+    precs = list(range(0, 97, 3))
+    want = {prec: fresh_level1(prec) for prec in precs}
+    wrong = []
+
+    def work(seed):
+        order = precs[:]
+        random.Random(seed).shuffle(order)
+        for prec in order:
+            if _level1(prec) != want[prec]:
+                wrong.append((seed, prec))
+
+    _interleaved(*(lambda i=i: work(i) for i in range(4)))
+    assert wrong == []
+    assert heckescan.modforms._level1_cache[0] == 96
+
+
+def test_delta_is_q_times_the_cached_delta_over_q(empty_level1):
+    # one implementation of Delta: a planted Delta/q shows through delta
+    e4, e6, _, qj = fresh_level1(2)
+    heckescan.modforms._level1_cache = (2, e4, e6, IntSeries([1, 5, 7]), qj)
+    assert delta(3).coeffs == (0, 1, 5, 7)
 
 
 def test_validate_catches_broken_basis():

@@ -12,6 +12,7 @@ from heckescan.modforms import dim_cusp
 from heckescan.scan import (
     RecordFileError,
     WeightRecord,
+    _batches,
     compute_record,
     detect_duplicates,
     drop_torn_tail,
@@ -305,6 +306,20 @@ def test_scan_oracle_consistency_random_sample(tmp_path):
 def test_dim_monotone_under_weight_plus_12():
     for k in range(2, 201, 2):
         assert dim_cusp(k + 12) >= dim_cusp(k)
+
+
+def test_batches_cover_the_weights_largest_first_within_the_heaviest_cost():
+    for k_min, k_max in ((2, 10), (12, 16), (12, 90), (2, 360), (2, 1000), (900, 1000)):
+        todo = list(range(k_max - k_max % 2, k_min - 1, -2))
+        batches = _batches(todo)
+        assert [k for batch in batches for k in batch] == todo
+        heaviest = max(dim_cusp(k) ** 3 for k in todo)
+        assert max(sum(dim_cusp(k) ** 3 for k in batch) for batch in batches) <= heaviest
+        # each batch would have overflowed with the next one's first weight
+        for batch, after in zip(batches, batches[1:]):
+            assert sum(dim_cusp(k) ** 3 for k in batch + after[:1]) > heaviest
+    # on the weights acceptance 2 re-scans for its speedup, a task is a weight
+    assert _batches(list(range(1000, 899, -2))) == [[k] for k in range(1000, 899, -2)]
 
 
 def test_failed_weight_cancels_the_queued_ones(tmp_path, monkeypatch):
