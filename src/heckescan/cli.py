@@ -35,7 +35,7 @@ from .bounds import (
     verify_lemma_theta,
 )
 from .hecke import _decimal, charpoly_t2, check_irreducible, distinguish, eigenform_coeffs, trace_t2
-from .modforms import dim_cusp, miller_basis
+from .modforms import miller_basis
 from .primes import THETA_BITS, primorial_row, sieve
 from .scan import MAEDA_CAVEAT, run_scan
 
@@ -297,8 +297,7 @@ def _cmd_charpoly(args):
 
 def _cmd_distinguish(args):
     if args.weight1 == args.weight2:
-        print("error: the two weights must differ", file=sys.stderr)
-        return 2
+        raise ValueError("the two weights must differ")
     n_max = args.max_n
     a = eigenform_coeffs(args.weight1, n_max)
     b = eigenform_coeffs(args.weight2, n_max)
@@ -385,8 +384,7 @@ def _cmd_exceptional_set(args):
 
 def _cmd_primorial_table(args):
     if args.count < 1:
-        print("error: --count must be positive", file=sys.stderr)
-        return 2
+        raise ValueError("--count must be positive")
     # p_n < n (ln n + ln ln n) for n >= 6 (Rosser-Schoenfeld); 64 covers n < 6
     n = args.count + 1
     table = sieve(max(64, int(n * (mpmath.log(n) + mpmath.log(mpmath.log(n)))) + 1))

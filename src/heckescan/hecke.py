@@ -17,7 +17,7 @@ from operator import mul
 
 from .modforms import _echelon_basis, dim_cusp, miller_basis
 from .primes import primes_above
-from .series import IntSeries
+from .series import IntSeries, _int_convolve
 
 
 def t2_coefficient(f, j, k):
@@ -374,7 +374,7 @@ def _factor_degrees_mod_q(f, q):
         g = _pm_gcd(_pm_trim(h_minus_x), rest, q)
         if len(g) > 1:
             degrees += [i] * ((len(g) - 1) // i)
-            rest = _pm_quo(rest, g, q)
+            rest = _pm_divmod(rest, g, q)[0]
     if len(rest) > 1:
         degrees.append(len(rest) - 1)
     return tuple(degrees)
@@ -386,43 +386,25 @@ def _pm_trim(a):
     return a
 
 
-def _pm_rem(a, f, q):
-    """a mod f, reduced mod q; a may hold unreduced integers."""
+def _pm_divmod(a, f, q):
+    """(quotient, remainder) of a by the monic f, both reduced mod q; a may
+    hold unreduced integers."""
     a = list(a)
     df = len(f) - 1
+    quo = [0] * (len(a) - df)
     for i in range(len(a) - 1, df - 1, -1):
         c = a[i] % q
         if c:
             off = i - df
+            quo[off] = c
             for j in range(df):
                 a[off + j] -= c * f[j]
-    return _pm_trim([c % q for c in a[:df]])
-
-
-def _pm_quo(a, b, q):
-    """Quotient of a by the monic b, coefficients mod q."""
-    a = list(a)
-    db = len(b) - 1
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % q
-        if c:
-            off = i - db
-            quo[off] = c
-            for j in range(db):
-                a[off + j] -= c * b[j]
-    return quo
+    return quo, _pm_trim([c % q for c in a[:df]])
 
 
 def _pm_mulmod(a, b, f, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _pm_rem(out, f, q)
+    """a * b mod f, reduced mod q, on the series layer's product."""
+    return _pm_divmod(_int_convolve(a, b, len(a) + len(b) - 1), f, q)[1]
 
 
 def _pm_xpow(e, f, q):
@@ -431,7 +413,7 @@ def _pm_xpow(e, f, q):
     for bit in bin(e)[2:]:
         result = _pm_mulmod(result, result, f, q)
         if bit == "1":
-            result = _pm_rem([0] + result, f, q)
+            result = _pm_divmod([0] + result, f, q)[1]
     return result
 
 
@@ -443,7 +425,7 @@ def _pm_gcd(a, b, q):
         # make b monic, then reduce a by it
         inv = pow(b[-1], -1, q)
         b = [(c * inv) % q for c in b]
-        a = _pm_rem(a, b, q) if len(a) >= len(b) else a
+        a = _pm_divmod(a, b, q)[1]
         a, b = b, a
     return a
 

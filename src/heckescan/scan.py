@@ -94,23 +94,6 @@ def _parse_records(lines, path):
     return sorted(by_k.values(), key=lambda r: r.k)
 
 
-def drop_torn_tail(path):
-    """Truncate the file after its last newline.  Returns the text cut off
-    (a record torn by a crash mid-write), or None when the file already
-    ends with a complete record or is empty."""
-    with open(path, "rb+") as fh:
-        if fh.seek(0, os.SEEK_END) == 0:
-            return None
-        fh.seek(-1, os.SEEK_END)
-        if fh.read(1) == b"\n":
-            return None
-        fh.seek(0)
-        data = fh.read()
-        keep = data.rfind(b"\n") + 1
-        fh.truncate(keep)
-    return data[keep:].decode("ascii", "replace")
-
-
 def detect_duplicates(records):
     """Unordered weight pairs sharing (dim, trace) with dim >= 1; empty
     spaces carry no eigenforms and are excluded."""
@@ -151,11 +134,11 @@ class ScanReport:
 def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
     """Compute records for every even weight in [k_min, k_max].
 
-    Weights are started largest first, in this process when workers is 1
-    and otherwise in a pool of that many processes, capped by the number
-    of weights to compute.  The pool is handed batches of consecutive
-    weights, each costing at most the heaviest weight (see _batches), and
-    a batch's records are written when the whole batch is done.  Records
+    Weights are started largest first, in a pool of `workers` processes
+    capped by the number of batches: runs of consecutive weights, each
+    costing at most the heaviest weight (see _batches).  With one worker
+    or one batch they are computed in this process instead.  A batch's
+    records are written when the whole batch is done.  Records
     are appended to output_path as they complete, flushed per line, so an
     interrupted scan loses at most the weight in flight in this process,
     or the batches in flight in the pool.  When a weight raises, or
@@ -185,7 +168,8 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
         # file as it found it, torn tail included.
         with open(output_path, "rb") as fh:
             data = fh.read()
-        complete = io.TextIOWrapper(io.BytesIO(data[: data.rfind(b"\n") + 1]), encoding="ascii")
+        keep = data.rfind(b"\n") + 1
+        complete = io.TextIOWrapper(io.BytesIO(data[:keep]), encoding="ascii")
         for rec in _parse_records(complete, output_path):
             if rec.k % 2:
                 raise ValueError(
@@ -203,20 +187,24 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
                 f"{output_path} already holds weight {min(existing)} of {k_min}..{k_max}; "
                 "use --resume to keep its records, or write to a new file"
             )
-        torn_tail = drop_torn_tail(output_path)
+        if keep < len(data):
+            os.truncate(output_path, keep)
+            torn_tail = data[keep:].decode("ascii", "replace")
     todo = sorted((k for k in evens if k not in existing), reverse=True)
+    batches = _batches(todo) if todo else []
+    jobs = min(workers, len(batches))
 
     computed = []
     out = open(output_path, "a", encoding="ascii") if output_path else None
     t0 = time.monotonic()
     try:
-        if workers == 1 or len(todo) <= 1:
+        if jobs <= 1:
             for k in todo:
                 _emit(compute_record(k), computed, out)
         else:
             # the pool forks all its workers at the first submit
-            with ProcessPoolExecutor(max_workers=min(workers, len(todo))) as pool:
-                futures = [pool.submit(_compute_batch, batch) for batch in _batches(todo)]
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                futures = [pool.submit(_compute_batch, batch) for batch in batches]
                 try:
                     for fut in as_completed(futures):
                         for rec in fut.result():

@@ -16,6 +16,7 @@ term.
 from __future__ import annotations
 
 import operator
+from itertools import islice
 
 try:
     from gmpy2 import mpz as _mpz
@@ -141,7 +142,8 @@ def series_inv(f):
 
 
 def _int_convolve(a, b, n_out):
-    """First n_out coefficients of the integer convolution a*b."""
+    """First n_out coefficients of the integer convolution a*b; also the
+    product behind hecke's mod-q irreducibility certificate."""
     a = a[:n_out]
     b = b[:n_out]
     if min(len(a), len(b)) < _KRONECKER_MIN_TERMS:
@@ -153,10 +155,10 @@ def _convolve_schoolbook(a, b, n_out):
     out = [0] * n_out
     for i, ai in enumerate(a):
         if ai:
-            for j in range(min(len(b), n_out - i)):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
+            # islice, not b[: n_out - i]: a list copy per row adds about
+            # 0.25 MiB to the peak RSS of a scan's workers
+            for j, bj in enumerate(islice(b, n_out - i), i):
+                out[j] += ai * bj
     return out
 
 

@@ -56,6 +56,7 @@ def test_distinguish_finds_n2(capsys):
 
 def test_distinguish_same_weights_is_usage_error(capsys):
     assert dispatch(["distinguish", "--weight1", "12", "--weight2", "12"]) == 2
+    assert capsys.readouterr().err == "error: the two weights must differ\n"
 
 
 def test_distinguish_not_found_within_1_exits_1(capsys):

@@ -17,6 +17,8 @@ from heckescan.hecke import (
     trace_t2,
     _factor_degrees_mod_q,
     _inverse_mod_p,
+    _pm_divmod,
+    _pm_mulmod,
 )
 from heckescan.modforms import delta, miller_basis
 
@@ -409,6 +411,77 @@ def _pq_divmod(a, b, q):
         for j in range(db + 1):
             a[i - db + j] = (a[i - db + j] - c * b[j]) % q
     return quo, a[:db]
+
+
+# The schoolbook kernels the certificate ran on before it took the series
+# product and one long division, kept as the oracle for both.
+
+
+def _schoolbook_rem(a, f, q):
+    """a mod f, reduced mod q; a may hold unreduced integers."""
+    a = list(a)
+    df = len(f) - 1
+    for i in range(len(a) - 1, df - 1, -1):
+        c = a[i] % q
+        if c:
+            off = i - df
+            for j in range(df):
+                a[off + j] -= c * f[j]
+    return _trimmed([c % q for c in a[:df]])
+
+
+def _schoolbook_quo(a, b, q):
+    """Quotient of a by the monic b, coefficients mod q."""
+    a = list(a)
+    db = len(b) - 1
+    quo = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] % q
+        if c:
+            off = i - db
+            quo[off] = c
+            for j in range(db):
+                a[off + j] -= c * b[j]
+    return quo
+
+
+def _schoolbook_mulmod(a, b, f, q):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _schoolbook_rem(out, f, q)
+
+
+def _trimmed(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+@pytest.mark.parametrize("q", [2, 331, 2**61 - 1])
+def test_mod_q_kernels_against_the_schoolbook_oracle(q):
+    # 1..70 terms puts the products on both sides of _KRONECKER_MIN_TERMS
+    rng = random.Random(q)
+    for _ in range(80):
+        f = [rng.randrange(q) for _ in range(rng.randint(1, 70))] + [1]
+        a, b = ([rng.randrange(q) for _ in range(rng.randint(1, 70))] for _ in range(2))
+        assert _pm_mulmod(a, b, f, q) == _schoolbook_mulmod(a, b, f, q), (a, b, f)
+        # unreduced integers and a zero tail, as a product hands them over
+        a_wide = [rng.randint(-(q**2), q**2) for _ in range(rng.randint(1, 70))]
+        a_wide += [0] * rng.randint(0, 3)
+        for a in (a, a_wide):
+            quo, rem = _pm_divmod(a, f, q)
+            assert quo == _schoolbook_quo(a, f, q) and rem == _schoolbook_rem(a, f, q), (a, f)
+            assert len(rem) < len(f)
+            back = _pq_mul(quo, f, q) if quo else []
+            back += [0] * (len(a) - len(back))
+            for i, c in enumerate(rem):
+                back[i] = (back[i] + c) % q
+            assert _trimmed(back) == _trimmed([c % q for c in a]), (a, f)
 
 
 def brute_force_factors_mod_q(f, q):

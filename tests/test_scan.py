@@ -15,7 +15,6 @@ from heckescan.scan import (
     _batches,
     compute_record,
     detect_duplicates,
-    drop_torn_tail,
     load_records,
     parse_record_line,
     record_line,
@@ -184,15 +183,24 @@ def test_parse_rejects_a_record_without_its_newline():
         parse_record_line("62\t4\t1146312", "r.tsv", 7)
 
 
-def test_drop_torn_tail_keeps_complete_files(tmp_path):
+def test_resume_cuts_only_a_torn_tail(tmp_path):
+    # complete records stay as they are, byte for byte, and the weights
+    # they lack are appended after them
     path = tmp_path / "r.tsv"
-    for text in ("", "12\t1\t-24\n", "12\t1\t-24\n14\t0\t0\n"):
+    for text, appended in (
+        ("", "14\t0\t0\n12\t1\t-24\n"),
+        ("12\t1\t-24\n", "14\t0\t0\n"),
+        ("12\t1\t-24\n14\t0\t0\n", ""),
+    ):
         path.write_text(text)
-        assert drop_torn_tail(path) is None
-        assert path.read_text() == text
+        report = run_scan(12, 14, workers=1, output_path=path, resume=True)
+        assert report.torn_tail is None, text
+        assert path.read_text() == text + appended
+    # a file holding only a torn record is cut to nothing before appending
     path.write_text("1246")
-    assert drop_torn_tail(path) == "1246"
-    assert path.read_text() == ""
+    report = run_scan(12, 14, workers=1, output_path=path, resume=True)
+    assert report.torn_tail == "1246"
+    assert path.read_text() == "14\t0\t0\n12\t1\t-24\n"
 
 
 def test_resume_recovers_a_record_torn_at_every_offset(tmp_path):
@@ -384,4 +392,7 @@ def test_pool_size_is_capped_by_the_weights_left(tmp_path, monkeypatch):
     resumed = run_scan(12, 22, workers=500, output_path=out, resume=True)
     assert [r.k for r in resumed.records] == list(range(12, 23, 2)) and resumed.computed == 3
     assert [r.k for r in run_scan(24, 30, workers=2).records] == [24, 26, 28, 30]
-    assert sizes == [3, 3, 2]
+    # one batch, [[14, 12]], is computed in this process: no pool at all
+    assert [r.k for r in run_scan(12, 14, workers=2).records] == [12, 14]
+    # _batches([16, 14, 12]) is [[16, 14], [12]]: two tasks, so two workers
+    assert sizes == [2, 3, 2]

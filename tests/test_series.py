@@ -139,6 +139,23 @@ def test_kronecker_path_matches_schoolbook():
         )
 
 
+def test_schoolbook_matches_kronecker_on_truncated_products_with_zeros():
+    # the schoolbook loop adds zero products instead of skipping a zero
+    # factor; sparse operands, zero runs and all-zero operands check that
+    rng = random.Random(29)
+    for _ in range(120):
+        density = rng.choice([0.0, 0.1, 0.5])
+        a, b = (
+            [rng.randint(-(2**40), 2**40) if rng.random() < density else 0 for _ in range(n)]
+            for n in (rng.randint(1, 70), rng.randint(1, 70))
+        )
+        n_out = rng.randint(1, len(a) + len(b) - 1)
+        a, b = a[:n_out], b[:n_out]
+        expected = conv_reference(a, b, n_out)
+        assert _convolve_schoolbook(a, b, n_out) == expected, (a, b, n_out)
+        assert _convolve_kronecker(a, b, n_out) == expected, (a, b, n_out)
+
+
 def test_large_series_mul_uses_exact_arithmetic():
     # forces the packed path end to end through the public surface
     rng = random.Random(3)
