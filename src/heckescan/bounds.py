@@ -129,13 +129,11 @@ class FailureInterval:
 
     Endpoints carry exact tags alongside their numeric values: lo is
     log(lo_log_arg) for an exact integer lo_log_arg (the first interval
-    opens at 0 = log 1 and also carries lo_exact = 0); hi is always the
-    exact rational hi_exact."""
+    opens at 0 = log 1); hi is always the exact rational hi_exact."""
 
     lo: object
     hi: object
     lo_log_arg: int
-    lo_exact: Fraction | None
     hi_exact: Fraction
 
 
@@ -357,7 +355,7 @@ def failure_intervals(table, x_max=None):
     intervals = []
     # x in [0, 1): theta(2x) = 0 <= x always, so the failure set opens
     # at 0 (= log 1, which keeps the endpoint exact for exp later).
-    cur = [_make_mpf(fzero), 1, Fraction(0), min(Fraction(1), cap)]
+    cur = [_make_mpf(fzero), 1, min(Fraction(1), cap)]
     primorial = 1
     for i, p in enumerate(ps):
         seg_lo = Fraction(p, 2)
@@ -370,7 +368,7 @@ def failure_intervals(table, x_max=None):
         theta_p = lambda c: c.log(primorial)
         if _below(ctx, theta_p, seg_lo):
             # fails on the whole segment; cur is open: theta(p_prev) < theta(p) < seg_lo
-            cur[3] = seg_hi
+            cur[2] = seg_hi
             continue
         if cur is not None:
             intervals.append(cur)
@@ -378,12 +376,12 @@ def failure_intervals(table, x_max=None):
         # unless theta(p) clears the segment too
         inside = _below(ctx, theta_p, seg_hi)
         lo = _make_mpf(mpf_log(from_int(primorial), THETA_BITS, "n"))
-        cur = [lo, primorial, None, seg_hi] if inside else None
+        cur = [lo, primorial, seg_hi] if inside else None
     if cur is not None:
         intervals.append(cur)
     return tuple(
-        FailureInterval(lo, _quotient(hi), log_arg, lo_exact, hi)
-        for lo, log_arg, lo_exact, hi in intervals
+        FailureInterval(lo, _quotient(hi), log_arg, hi)
+        for lo, log_arg, hi in intervals
     )
 
 

@@ -12,7 +12,8 @@ precisions), reported as one stderr line.  A scan whose worker
 process dies (BrokenProcessPool) exits 2 with one stderr line: the
 records written before the death are complete, and `scan --resume` with
 the same range finishes it.  All numeric output uses a plain decimal
-point and no grouping, regardless of locale.  Every subcommand accepts --json for a machine-readable line
+point and no grouping, regardless of locale.  Every subcommand but
+theta-plot, which writes CSV, accepts --json for a machine-readable line
 mirroring the underlying record fields; big integers are emitted as
 decimal strings there.
 """

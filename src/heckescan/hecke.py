@@ -39,19 +39,18 @@ def t2_coefficient(f, j, k):
     return value
 
 
-def trace_t2(k, basis=None):
+def trace_t2(k):
     """(dim, trace) of T2 on the weight-k cusp space; (0, 0) for an empty
     space.
 
-    The trace reads only a_(2j)(f_j), so unless a basis is supplied the
-    echelon forms are built as a staircase, f_j through q^(d+j), from a
-    j-invariant chain at precision d rather than the 2d of miller_basis;
-    t2_coefficient checks that every form reaches q^(2j)."""
+    The trace reads only a_(2j)(f_j), so the echelon forms are built as a
+    staircase, f_j through q^(d+j), from a j-invariant chain at precision
+    d rather than the 2d of miller_basis; t2_coefficient checks that every
+    form reaches q^(2j)."""
     d = dim_cusp(k)
     if d == 0:
         return (0, 0)
-    if basis is None:
-        basis = _echelon_basis(k, d, d, 2 * d)
+    basis = _echelon_basis(k, d, d, 2 * d)
     t = 0
     for j in range(1, d + 1):
         t += t2_coefficient(basis.form(j), j, k)
@@ -72,12 +71,11 @@ class T2Matrix:
         return sum(self.entries[i][i] for i in range(self.dim))
 
 
-def t2_matrix(k, basis=None):
+def t2_matrix(k):
     d = dim_cusp(k)
     if d == 0:
         return T2Matrix(k, 0, ())
-    if basis is None:
-        basis = miller_basis(k, 2 * d)
+    basis = miller_basis(k, 2 * d)
     rows = tuple(
         tuple(t2_coefficient(basis.form(i + 1), j + 1, k) for i in range(d))
         for j in range(d)

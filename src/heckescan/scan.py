@@ -13,7 +13,8 @@ from __future__ import annotations
 import io
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 from .hecke import trace_t2
@@ -137,16 +138,19 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
     Weights are started largest first, in a pool of `workers` processes
     capped by the number of batches: runs of consecutive weights, each
     costing at most the heaviest weight (see _batches).  With one worker
-    or one batch they are computed in this process instead.  A batch's
-    records are written when the whole batch is done.  Records
-    are appended to output_path as they complete, flushed per line, so an
-    interrupted scan loses at most the weight in flight in this process,
-    or the batches in flight in the pool.  When a weight raises, or
-    a worker dies (BrokenProcessPool), the weights still queued are
-    cancelled and the error propagates; the records written so far stay,
-    and a resumed scan finishes the range.  A torn last line (no
-    newline) is cut off before anything is appended to the file, and the
-    report carries the cut text; a refused scan leaves the file as it
+    or one batch they are computed in this process instead.  Records are
+    appended to output_path largest weight first in both cases, flushed
+    per line, so the file's bytes depend on neither `workers` nor timing.
+    An interrupted scan in this process loses at most the weight in
+    flight.  In the pool a batch's records are written once it and every
+    batch before it are done, so a finished batch waits in memory behind
+    the oldest unfinished one, and an interrupted scan loses every batch
+    started since the oldest one still running.  When a weight raises, a
+    worker dies (BrokenProcessPool) or a write fails, the batches still
+    queued are cancelled and the error propagates; the records written
+    so far stay, and a resumed scan finishes the range.  A torn last line
+    (no newline) is cut off before anything is appended to the file, and
+    the report carries the cut text; a refused scan leaves the file as it
     was.  With resume, weights already present in the file are kept, not
     recomputed (a torn one is recomputed).
     Without resume, a file that already holds a weight of the range is
@@ -195,28 +199,25 @@ def run_scan(k_min, k_max, workers=1, output_path=None, resume=False):
     jobs = min(workers, len(batches))
 
     computed = []
-    out = open(output_path, "a", encoding="ascii") if output_path else None
     t0 = time.monotonic()
-    try:
+    with ExitStack() as stack:
+        out = stack.enter_context(open(output_path, "a", encoding="ascii")) if output_path else None
         if jobs <= 1:
-            for k in todo:
-                _emit(compute_record(k), computed, out)
+            stream = ([compute_record(k)] for k in todo)
         else:
-            # the pool forks all its workers at the first submit
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_compute_batch, batch) for batch in batches]
-                try:
-                    for fut in as_completed(futures):
-                        for rec in fut.result():
-                            _emit(rec, computed, out)
-                except BaseException:
-                    # Weights still queued would only be computed and
-                    # discarded; the ones already running finish first.
-                    pool.shutdown(cancel_futures=True)
-                    raise
-    finally:
-        if out:
-            out.close()
+            # map submits every batch, and the pool forks all its workers
+            # at the first submit
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            # on any exit, batches still queued are cancelled, not computed
+            # and discarded; the ones already running finish first
+            stack.callback(pool.shutdown, cancel_futures=True)
+            stream = pool.map(_compute_batch, batches)
+        for batch in stream:
+            for rec in batch:
+                computed.append(rec)
+                if out:
+                    out.write(record_line(rec))
+                    out.flush()
     elapsed = time.monotonic() - t0
 
     final = list(existing.values()) + computed
@@ -251,10 +252,3 @@ def _compute_batch(batch):
     """The records of a batch, in a pool worker.  compute_record is looked
     up at call time, so a stand-in set on this module reaches the workers."""
     return [compute_record(k) for k in batch]
-
-
-def _emit(rec, computed, out):
-    computed.append(rec)
-    if out:
-        out.write(record_line(rec))
-        out.flush()

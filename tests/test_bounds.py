@@ -401,7 +401,7 @@ def test_exp_floor_decided_within_2_to_the_minus_100_of_an_integer(table64, monk
         with mpmath.workprec(400):
             gap = mpmath.exp(mpmath.mpf(r.numerator) / r.denominator) - 245
             assert 0 < abs(gap) < mpmath.mpf(2) ** -100
-        iv = b.FailureInterval(mpmath.log(210), mpmath.mpf(5.5), 210, None, r)
+        iv = b.FailureInterval(mpmath.log(210), mpmath.mpf(5.5), 210, r)
         monkeypatch.setattr(b, "failure_intervals", lambda table, iv=iv: (iv,))
         assert exceptional_levels(table64) == tuple(range(210, last + 1))
 

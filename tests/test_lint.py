@@ -26,6 +26,30 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def unreferenced_private_defs(sources):
+    """Module-level `_private` functions and classes that no module reads,
+    as (module, line, name); sources maps module names to their text.  A
+    name read anywhere counts for a definition of that name anywhere."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                defined.append((module, node.lineno, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[2] not in used)
+
+
 def test_unused_imports_are_found():
     source = (
         "from __future__ import annotations\n"
@@ -42,3 +66,32 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_unreferenced_private_defs_are_found():
+    sources = {
+        "a": (
+            "def _dead():\n"
+            "    return _called()\n"
+            "def _called():\n"
+            "    pass\n"
+            "class _Unused:\n"
+            "    def _method(self):\n"
+            "        pass\n"
+            "def __getattr__(name):\n"
+            "    pass\n"
+            "def public():\n"
+            "    pass\n"
+            "def _imported():\n"
+            "    pass\n"
+            "def _read_as_attribute():\n"
+            "    pass\n"
+        ),
+        "b": "from .a import _imported\nimport a\nx = a._read_as_attribute\n",
+    }
+    assert unreferenced_private_defs(sources) == [("a", 1, "_dead"), ("a", 5, "_Unused")]
+
+
+def test_no_unreferenced_private_defs():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private_defs(sources) == []

@@ -1,7 +1,6 @@
 import os
 import re
 import time
-from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -141,9 +140,14 @@ def test_scan_rejects_reversed_range():
 
 
 def test_scan_determinism_across_worker_counts(tmp_path):
-    r1 = run_scan(2, 60, workers=1, output_path=tmp_path / "a.tsv")
-    r2 = run_scan(2, 60, workers=2, output_path=tmp_path / "b.tsv")
-    assert r1.records == r2.records
+    # the pool writes its records in the serial order, largest weight
+    # first, so the file is the same byte for byte at every worker count
+    r1 = run_scan(2, 360, workers=1, output_path=tmp_path / "1.tsv")
+    expected = (tmp_path / "1.tsv").read_bytes()
+    for workers in (2, 3):
+        path = tmp_path / f"{workers}.tsv"
+        assert run_scan(2, 360, workers=workers, output_path=path).records == r1.records
+        assert path.read_bytes() == expected, workers
 
 
 def test_resume_skips_existing(tmp_path):
@@ -347,6 +351,32 @@ def test_failed_weight_cancels_the_queued_ones(tmp_path, monkeypatch):
     assert {r.k for r in load_records(out)} < set(started)
 
 
+def test_failed_write_cancels_the_queued_weights(tmp_path, monkeypatch):
+    marks = tmp_path / "started"
+    marks.mkdir()
+    monkeypatch.setenv("HECKESCAN_TEST_MARKS", str(marks))
+    monkeypatch.setenv("HECKESCAN_TEST_FAIL_AT", "0")  # no weight of 2..400 fails
+    monkeypatch.setattr(heckescan.scan, "compute_record", _fail_first_weight)
+    calls = []
+
+    def record_line_failing_second(rec):
+        # only this process formats records, never a worker
+        calls.append(rec.k)
+        if len(calls) == 2:
+            raise OSError("injected write failure")
+        return record_line(rec)
+
+    monkeypatch.setattr(heckescan.scan, "record_line", record_line_failing_second)
+    out = tmp_path / "failed_write.tsv"
+    with pytest.raises(OSError, match="injected write failure"):
+        run_scan(2, 400, workers=2, output_path=out)
+    started = sorted(int(name) for name in os.listdir(marks))
+    # 200 weights queued; only those already handed to the two workers run
+    assert len(started) <= 20, started
+    _assert_complete_records(out)
+    assert [r.k for r in load_records(out)] == [400]
+
+
 def test_killed_worker_leaves_complete_records_and_resume_finishes(tmp_path, monkeypatch):
     out = tmp_path / "killed.tsv"
     monkeypatch.setenv("HECKESCAN_TEST_DIE_AT", "60")
@@ -362,29 +392,25 @@ def test_killed_worker_leaves_complete_records_and_resume_finishes(tmp_path, mon
     clean = run_scan(12, 90, workers=1, output_path=clean_path)
     assert resumed.records == clean.records
     assert resumed.resumed + resumed.computed == len(clean.records)
-    # the same records, line for line, in completion order
+    # the same records, line for line; the resumed weights follow the
+    # ones written before the worker died
     assert sorted(out.read_text().splitlines(True)) == sorted(clean_path.read_text().splitlines(True))
 
 
 def test_pool_size_is_capped_by_the_weights_left(tmp_path, monkeypatch):
     # the pool forks all its workers at its first submit, so a stand-in
-    # records the size asked for and computes each weight in this process
+    # records the size asked for and computes each batch in this process
     sizes = []
 
     class InlinePool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+        def map(self, fn, batches):
+            return map(fn, batches)
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, k):
-            fut = Future()
-            fut.set_result(fn(k))
-            return fut
+        def shutdown(self, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(heckescan.scan, "ProcessPoolExecutor", InlinePool)
     out = tmp_path / "o.tsv"
