@@ -277,7 +277,7 @@ def _candidates(screen):
     return compress(range(len(slack)), map(cut.__ge__, map(sub, slack, delta)))
 
 
-def _sweep(name, table, screen, point, points_checked):
+def _sweep(name, screen, point, points_checked):
     """The report of one sweep.  point(k) gives, for each point k the screen
     cannot settle, (x, where, enclose): enclose(ctx) is the interval
     enclosure of its slack, whose midpoint at THETA_BITS, round to nearest,
@@ -321,7 +321,7 @@ def verify_lemma_theta(table):
         x = _quotient(sup)
         return x, (ps[idx], sup), _minus(_theta_enclosure(ps[: idx + 1]), sup)
 
-    return _sweep("theta(2x+2) > x", table, _lemma_screen(table), point, n + 1)
+    return _sweep("theta(2x+2) > x", _lemma_screen(table), point, n + 1)
 
 
 def verify_dusart(table):
@@ -337,7 +337,7 @@ def verify_dusart(table):
         p = ps[i]
         return p, (p, "jump" if jump else "left-limit"), _dusart_slack(ps[: i + jump], p)
 
-    return _sweep("|theta(x) - x| < 3.965 x / log(x)^2", table, _dusart_screen(table), point, 2 * len(ps))
+    return _sweep("|theta(x) - x| < 3.965 x / log(x)^2", _dusart_screen(table), point, 2 * len(ps))
 
 
 def failure_intervals(table, x_max=None):

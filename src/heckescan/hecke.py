@@ -347,8 +347,10 @@ def _factor_degrees_mod_q(f, q):
     by distinct-degree factorization; None when f is not squarefree mod q.
 
     Step i takes h = x^(q^i) mod f to x^(q^(i+1)) by one product with the
-    Frobenius matrix (rows x^(q*j) mod f, built from a single x^q), and
-    gcd(h - x, rest) collects the factors of degree i.
+    Frobenius matrix (rows x^(q*j) mod f, built from a single x^q).  As f
+    is squarefree, gcd(h - x, f) is the product of its factors of degree
+    dividing i: deg gcd, less the degrees found so far that divide i, is
+    i times the number of degree-i factors, and no factor is divided out.
     """
     d = len(f) - 1
     if len(_pm_gcd(_pm_trim([i * c % q for i, c in enumerate(f)][1:]), f, q)) > 1:
@@ -361,20 +363,20 @@ def _factor_degrees_mod_q(f, q):
         row = _pm_mulmod(row, xq, f, q)
     frobenius = list(zip(*rows))  # column t holds coefficient t of each row
     h = [0, 1]
-    rest = f
+    left = d
     degrees = []
     i = 0
-    while 2 * (i + 1) <= len(rest) - 1:
+    while 2 * (i + 1) <= left:
         i += 1
         h = [sum(map(mul, h, col)) % q for col in frobenius]
         h_minus_x = list(h)
         h_minus_x[1] = (h_minus_x[1] - 1) % q
-        g = _pm_gcd(_pm_trim(h_minus_x), rest, q)
-        if len(g) > 1:
-            degrees += [i] * ((len(g) - 1) // i)
-            rest = _pm_divmod(rest, g, q)[0]
-    if len(rest) > 1:
-        degrees.append(len(rest) - 1)
+        g = _pm_gcd(_pm_trim(h_minus_x), f, q)
+        found = len(g) - 1 - sum(j for j in degrees if i % j == 0)
+        degrees += [i] * (found // i)
+        left -= found
+    if left:
+        degrees.append(left)
     return tuple(degrees)
 
 
@@ -384,25 +386,22 @@ def _pm_trim(a):
     return a
 
 
-def _pm_divmod(a, f, q):
-    """(quotient, remainder) of a by the monic f, both reduced mod q; a may
-    hold unreduced integers."""
+def _pm_rem(a, f, q):
+    """a mod the monic f, reduced mod q; a may hold unreduced integers."""
     a = list(a)
     df = len(f) - 1
-    quo = [0] * (len(a) - df)
     for i in range(len(a) - 1, df - 1, -1):
         c = a[i] % q
         if c:
             off = i - df
-            quo[off] = c
             for j in range(df):
                 a[off + j] -= c * f[j]
-    return quo, _pm_trim([c % q for c in a[:df]])
+    return _pm_trim([c % q for c in a[:df]])
 
 
 def _pm_mulmod(a, b, f, q):
     """a * b mod f, reduced mod q, on the series layer's product."""
-    return _pm_divmod(_int_convolve(a, b, len(a) + len(b) - 1), f, q)[1]
+    return _pm_rem(_int_convolve(a, b, len(a) + len(b) - 1), f, q)
 
 
 def _pm_xpow(e, f, q):
@@ -411,7 +410,7 @@ def _pm_xpow(e, f, q):
     for bit in bin(e)[2:]:
         result = _pm_mulmod(result, result, f, q)
         if bit == "1":
-            result = _pm_divmod([0] + result, f, q)[1]
+            result = _pm_rem([0] + result, f, q)
     return result
 
 
@@ -423,7 +422,7 @@ def _pm_gcd(a, b, q):
         # make b monic, then reduce a by it
         inv = pow(b[-1], -1, q)
         b = [(c * inv) % q for c in b]
-        a = _pm_divmod(a, b, q)[1]
+        a = _pm_rem(a, b, q)
         a, b = b, a
     return a
 

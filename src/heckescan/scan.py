@@ -5,7 +5,9 @@ parallel workers, and duplicate detection on the resulting pairs.
 Record file format: one record per line, "k<TAB>dim<TAB>trace", the trace
 in base 10 with an optional leading minus, plain text, no padding.  Every
 record ends with its newline; a final line without one is a write cut
-short by a crash, never a record.
+short by a crash, never a record.  A line that is not exactly what
+record_line writes for the integers it holds (a plus sign, -0, a leading
+zero, an underscore or a blank) is refused, never read as a record.
 """
 
 from __future__ import annotations
@@ -75,7 +77,10 @@ def parse_record_line(line, path="<memory>", line_no=0):
         raise RecordFileError(path, line_no, f"trace not an integer literal: {parts[2][:40]!r}") from None
     if dim < 0:
         raise RecordFileError(path, line_no, f"negative dimension {dim}")
-    return WeightRecord(k, dim, trace)
+    rec = WeightRecord(k, dim, trace)
+    if record_line(rec) != line:
+        raise RecordFileError(path, line_no, f"not a record as a scan writes it: {line[:40]!r}")
+    return rec
 
 
 def load_records(path):

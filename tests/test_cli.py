@@ -11,6 +11,7 @@ import heckescan.scan
 from heckescan.cli import dispatch, emit_theta_plot
 from heckescan.primes import primorial_row, sieve
 from heckescan.scan import MAEDA_CAVEAT, compute_record, load_records
+from test_scan import NON_CANONICAL_LINES
 
 _real_compute_record = compute_record
 
@@ -301,6 +302,17 @@ def test_scan_resume_onto_a_stored_odd_weight_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and "odd weight 13" in captured.err
     assert out.read_text() == "13\t0\t0\n12\t1\t-24\n"
+
+
+@pytest.mark.parametrize("line", NON_CANONICAL_LINES)
+def test_scan_resume_onto_a_non_canonical_record_exits_2(tmp_path, capsys, line):
+    out = tmp_path / "r.tsv"
+    before = ("12\t1\t-24\n" + line).encode()
+    out.write_bytes(before)
+    assert dispatch(["scan", "--min", "12", "--max", "26", "--out", str(out), "--resume"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{out}:2: not a record as a scan writes it" in captured.err
+    assert out.read_bytes() == before
 
 
 def test_scan_twice_without_resume_exits_2(tmp_path, capsys):

@@ -17,8 +17,8 @@ from heckescan.hecke import (
     trace_t2,
     _factor_degrees_mod_q,
     _inverse_mod_p,
-    _pm_divmod,
     _pm_mulmod,
+    _pm_rem,
 )
 from heckescan.modforms import delta, miller_basis
 
@@ -415,7 +415,7 @@ def _pq_divmod(a, b, q):
 
 
 # The schoolbook kernels the certificate ran on before it took the series
-# product and one long division, kept as the oracle for both.
+# product, kept as the oracle for it.
 
 
 def _schoolbook_rem(a, f, q):
@@ -429,21 +429,6 @@ def _schoolbook_rem(a, f, q):
             for j in range(df):
                 a[off + j] -= c * f[j]
     return _trimmed([c % q for c in a[:df]])
-
-
-def _schoolbook_quo(a, b, q):
-    """Quotient of a by the monic b, coefficients mod q."""
-    a = list(a)
-    db = len(b) - 1
-    quo = [0] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % q
-        if c:
-            off = i - db
-            quo[off] = c
-            for j in range(db):
-                a[off + j] -= c * b[j]
-    return quo
 
 
 def _schoolbook_mulmod(a, b, f, q):
@@ -475,20 +460,17 @@ def test_mod_q_kernels_against_the_schoolbook_oracle(q):
         a_wide = [rng.randint(-(q**2), q**2) for _ in range(rng.randint(1, 70))]
         a_wide += [0] * rng.randint(0, 3)
         for a in (a, a_wide):
-            quo, rem = _pm_divmod(a, f, q)
-            assert quo == _schoolbook_quo(a, f, q) and rem == _schoolbook_rem(a, f, q), (a, f)
+            rem = _pm_rem(a, f, q)
+            assert rem == _schoolbook_rem(a, f, q), (a, f)
+            assert rem == _trimmed([c % q for c in _pq_divmod(a, f, q)[1]]), (a, f)
             assert len(rem) < len(f)
-            back = _pq_mul(quo, f, q) if quo else []
-            back += [0] * (len(a) - len(back))
-            for i, c in enumerate(rem):
-                back[i] = (back[i] + c) % q
-            assert _trimmed(back) == _trimmed([c % q for c in a]), (a, f)
 
 
 def brute_force_factors_mod_q(f, q):
     """Monic irreducible factors of the monic f mod q, with multiplicity,
     by trial division with every monic polynomial of degree 1, 2, ...: a
-    divisor of least degree is irreducible.  Complete for deg <= 4."""
+    divisor of least degree is irreducible, and what is left once no
+    divisor of at most half its degree remains is irreducible too."""
 
     def monics(deg):
         for tail in range(q**deg):
@@ -516,11 +498,15 @@ def brute_force_factors_mod_q(f, q):
 
 
 def test_factor_degrees_mod_q_against_brute_force():
+    # From degree 5 on, a step i can run after factors of a smaller degree
+    # dividing i were found, and their degrees must come off deg gcd: the
+    # patterns (1, 2, 2) and (1, 3, 3) need that correction.
     rng = random.Random(8)
-    for q in (2, 3, 5):
+    seen = set()
+    for q, d_max in ((2, 8), (3, 8), (5, 6)):
         patterns = set()
-        for _ in range(80):
-            d = rng.randint(2, 4)
+        for _ in range(120):
+            d = rng.randint(2, d_max)
             f = [rng.randrange(q) for _ in range(d)] + [1]
             factors = brute_force_factors_mod_q(f, q)
             assert math.prod(len(g) - 1 for g in factors) >= 1
@@ -531,8 +517,10 @@ def test_factor_degrees_mod_q_against_brute_force():
                 expected = tuple(sorted(len(g) - 1 for g in factors))
             assert _factor_degrees_mod_q(f, q) == expected, (f, q, factors)
             patterns.add(expected)
-        # every squarefree shape of degree <= 4 shows up, and repeats too
+        # irreducible, mixed and repeated-factor shapes show up at every q
         assert None in patterns and (4,) in patterns and (1, 3) in patterns, (q, patterns)
+        seen |= patterns
+    assert {(1, 2, 2), (1, 3, 3)} <= seen, seen
 
 
 def _pq_powmod(base, e, f, q):

@@ -50,6 +50,26 @@ def unreferenced_private_defs(sources):
     return sorted(d for d in defined if d[2] not in used)
 
 
+def unused_parameters(source):
+    """Arguments of a function or lambda that its body never reads, as
+    (line, function, name); `self` and `cls` are exempt.  A read in a
+    nested function counts; defaults and decorators are not the body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node, ast.Lambda) else ast.Module(node.body, [])
+        read = {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        found += [
+            (a.lineno, name, a.arg) for a in params if a.arg not in read and a.arg not in ("self", "cls")
+        ]
+    return sorted(found)
+
+
 def test_unused_imports_are_found():
     source = (
         "from __future__ import annotations\n"
@@ -95,3 +115,30 @@ def test_unreferenced_private_defs_are_found():
 def test_no_unreferenced_private_defs():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_private_defs(sources) == []
+
+
+def test_unused_parameters_are_found():
+    source = (
+        "def f(a, b, /, c, *args, d, e=None, **kw):\n"
+        "    return a + args[0] + kw['x']\n"
+        "class C:\n"
+        "    def m(self, x):\n"
+        "        return 1\n"
+        "    @classmethod\n"
+        "    def n(cls, y=lambda z: 0):\n"
+        "        def inner():\n"
+        "            return y\n"
+        "        return inner\n"
+        "def g(w, v=len):\n"
+        "    w = 2\n"
+        "    return 0\n"
+    )
+    assert unused_parameters(source) == [
+        (1, "f", "b"), (1, "f", "c"), (1, "f", "d"), (1, "f", "e"),
+        (4, "m", "x"), (7, "<lambda>", "z"), (11, "g", "v"), (11, "g", "w"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == [], path.name

@@ -187,6 +187,26 @@ def test_parse_rejects_a_record_without_its_newline():
         parse_record_line("62\t4\t1146312", "r.tsv", 7)
 
 
+# lines int() reads but record_line never writes
+NON_CANONICAL_LINES = (
+    "24\t2\t1_080\n",
+    "24\t2\t 1080\n",
+    "+24\t2\t1080\n",
+    "024\t2\t1080\n",
+    "24\t2\t-0\n",
+    "24\t2\t1080 \n",
+)
+
+
+@pytest.mark.parametrize("line", NON_CANONICAL_LINES)
+def test_load_refuses_a_non_canonical_record(tmp_path, line):
+    path = tmp_path / "r.tsv"
+    path.write_text("12\t1\t-24\n" + line)
+    with pytest.raises(RecordFileError, match="not a record as a scan writes it") as err:
+        load_records(path)
+    assert err.value.line_no == 2
+
+
 def test_resume_cuts_only_a_torn_tail(tmp_path):
     # complete records stay as they are, byte for byte, and the weights
     # they lack are appended after them
