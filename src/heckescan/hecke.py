@@ -312,7 +312,8 @@ def _integer_roots(coeffs):
     work = list(coeffs)
     degrees = []
     for r in sorted(candidates, key=abs):
-        while len(work) > 1 and _eval_int(work, r) == 0:
+        # an integer root divides the constant term (rational root theorem)
+        while len(work) > 1 and not (r and work[-1] % r) and _eval_int(work, r) == 0:
             work = _deflate(work, r)
             degrees.append(1)
     if not degrees:

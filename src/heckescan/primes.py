@@ -124,23 +124,32 @@ def primorial_row(k, table):
 # look; every verdict is an exact divisibility test.  Costs, with |N| the
 # size of N:
 #   - N missing a prime below p_64: one mod of N by a word or by P_63;
-#   - N divisible by every prime up to the theta bound: building P_J from
-#     cached segment products (one product of size |N|), one near-linear
-#     division and a few small mods on the quotient;
+#   - N divisible by every prime up to the theta bound: building P_J as a
+#     cached mark times a few tree nodes (one lopsided product of sizes
+#     |N| and at most |N|/8, see below), one near-linear division and a
+#     few small mods on the quotient;
 #   - any other N: the segment search, one mod of N per segment, which is
 #     quadratic in |N| with pure Python integers (subquadratic with GMP).
 #     Such an N also pays for building P_J in vain.
+#
+# Each segment caches at most _MARK_STEPS + 1 partial primorials, its
+# marks: marks[t] is the product of every prime before the segment and
+# the first t nodes of the lowest tree level with at most _MARK_STEPS
+# nodes.  They sit 1/_MARK_STEPS of the segment apart, so P_J is the mark
+# at or below J times the product of a few nodes below that level.
 
 _SMALL_SEGMENTS = 6
+_MARK_STEPS = 8
 
 
 class _SegmentTree:
-    """Product tree over one segment of consecutive primes.  `below` is
-    the product of all primes before the segment, `log_prefix[j]` a float
-    estimate of log(p_1 * ... * p_(start+j+1)); both serve the jump to the
-    theta bound."""
+    """Product tree over one segment of consecutive primes.  `marks` are
+    the cached partial primorials (marks[0] is the product of all primes
+    before the segment, marks[-1] that of all primes through it), and
+    `log_prefix[j]` is a float estimate of log(p_1 * ... * p_(start+j+1));
+    both serve the jump to the theta bound."""
 
-    __slots__ = ("start", "primes", "levels", "below", "log_prefix")
+    __slots__ = ("start", "primes", "levels", "mark_level", "marks", "log_prefix")
 
     def __init__(self, start, ps, below, log_below):
         self.start = start
@@ -154,7 +163,14 @@ class _SegmentTree:
             ]
             levels.append(level)
         self.levels = levels
-        self.below = below
+        mark_level = 0
+        while len(levels[mark_level]) > _MARK_STEPS:
+            mark_level += 1
+        marks = [below]
+        for node in levels[mark_level]:
+            marks.append(marks[-1] * node)
+        self.mark_level = mark_level
+        self.marks = tuple(marks)
         log_prefix = array("d")
         for p in ps:
             log_below += math.log(p)
@@ -180,15 +196,18 @@ class _SegmentTree:
                 idx, r = 2 * idx + 1, r % self.levels[lvl][2 * idx + 1]
         return self.primes[idx]
 
-    def prefix_product(self, m):
-        """Product of the first m primes of the segment, from tree nodes."""
-        acc = _mpz(1)
-        pos = 0
-        for lvl in range(len(self.levels) - 1, -1, -1):
+    def primorial(self, m):
+        """Product of every prime before the segment and its first m
+        primes: the mark at or below m times the tree nodes below the mark
+        level that cover the rest."""
+        t = m >> self.mark_level
+        tail = _mpz(1)
+        pos = t << self.mark_level
+        for lvl in range(self.mark_level - 1, -1, -1):
             if m >> lvl & 1:
-                acc *= self.levels[lvl][pos >> lvl]
+                tail *= self.levels[lvl][pos >> lvl]
                 pos += 1 << lvl
-        return acc
+        return self.marks[t] * tail
 
 
 _seg_lock = threading.Lock()
@@ -231,7 +250,7 @@ def _segment(i):
             _grow_pool(start + size)
             if _segments:
                 prev = _segments[-1]
-                below, log_below = prev.below * prev.product, prev.log_prefix[-1]
+                below, log_below = prev.marks[-1], prev.log_prefix[-1]
             else:
                 below, log_below = _mpz(1), 0.0
             _segments.append(
@@ -270,7 +289,7 @@ def _theta_jump(nz):
         i += 1
     seg = _segment(i)
     m = bisect.bisect_right(seg.log_prefix, target)
-    q, r = divmod(nz, seg.below * seg.prefix_product(m))
+    q, r = divmod(nz, seg.primorial(m))
     if r:
         return None
     j = seg.start + m  # p_1 .. p_j divide nz; q = nz / (p_1 * ... * p_j)
@@ -289,7 +308,7 @@ def smallest_nondivisor_prime(n):
     nz = _mpz(n)
     if nz % 2:
         return 2
-    r = nz % _segment(_SMALL_SEGMENTS).below
+    r = nz % _segment(_SMALL_SEGMENTS).marks[0]
     if r:
         return _segment_search(r, 1)
     p = _theta_jump(nz)

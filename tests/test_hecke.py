@@ -15,7 +15,10 @@ from heckescan.hecke import (
     t2_coefficient,
     t2_matrix,
     trace_t2,
+    _deflate,
+    _eval_int,
     _factor_degrees_mod_q,
+    _integer_roots,
     _inverse_mod_p,
     _pm_mulmod,
     _pm_rem,
@@ -307,6 +310,52 @@ def test_products_with_roots_never_certified_irreducible():
         assert poly[0] * r**3 + poly[1] * r**2 + poly[2] * r + poly[3] == 0
         v = check_irreducible(poly, prime_budget=30)
         assert v.kind != "irreducible", (r, a, b, v)
+
+
+def _integer_roots_unfiltered(coeffs):
+    """The root search evaluating every candidate, whether or not it
+    divides the constant term: the reference for the divisor filter."""
+    candidates = set(range(-100, 101))
+    a0 = coeffs[-1]
+    if a0 == 0:
+        candidates.add(0)
+    elif abs(a0) <= 10**9:
+        m = abs(a0)
+        f = 1
+        while f * f <= m:
+            if m % f == 0:
+                candidates.update((f, -f, m // f, -(m // f)))
+            f += 1
+    work = list(coeffs)
+    degrees = []
+    for r in sorted(candidates, key=abs):
+        while len(work) > 1 and _eval_int(work, r) == 0:
+            work = _deflate(work, r)
+            degrees.append(1)
+    if not degrees:
+        return None
+    if len(work) > 1:
+        degrees.append(len(work) - 1)
+    return tuple(sorted(degrees))
+
+
+def test_integer_roots_match_the_unfiltered_search():
+    rng = random.Random(18)
+    kinds = set()
+    for _ in range(400):
+        # roots with repeats, zero among them, some beyond the +-100 window
+        roots = [rng.choice([0, 1, -1, 2, -3, 7, 97, -101, 1000, rng.randint(-60, 60)])
+                 for _ in range(rng.randint(0, 4))]
+        poly = [1] + [rng.randint(-20, 20) for _ in range(rng.randint(0, 3))]
+        for r in roots:
+            poly = _int_poly_mul(poly, [1, -r])
+        if len(poly) < 2:
+            continue
+        got = _integer_roots(poly)
+        assert got == _integer_roots_unfiltered(poly), poly
+        kinds.add((len(roots) > len(set(roots)), poly[-1] == 0, got is not None))
+    # repeated roots, a zero constant term and root-free inputs all occur
+    assert {(True, True, True), (True, False, True), (False, False, False)} <= kinds
 
 
 def _int_poly_mul(a, b):

@@ -177,7 +177,7 @@ def test_theta_accepts_fraction_argument(table_10k):
 def test_smallest_nondivisor_pure_int_fallback(monkeypatch, table_10k):
     import heckescan.primes as pr
 
-    # Every cache of the search (segment trees, the products below each
+    # Every cache of the search (segment trees, the partial primorials of each
     # segment, the log prefixes) hangs off _segments, so this reset leaves
     # no mpz from earlier calls in the int run.
     monkeypatch.setattr(pr, "_mpz", int)
@@ -192,21 +192,69 @@ def test_smallest_nondivisor_pure_int_fallback(monkeypatch, table_10k):
     ps = table_10k.primes
     assert pr._theta_jump(math.prod(ps[:70])) == ps[70]
     assert smallest_nondivisor_prime(math.prod(ps[:70])) == ps[70]
-    assert all(type(seg.below) is int and type(seg.product) is int for seg in pr._segments)
+    assert all(type(seg.product) is int for seg in pr._segments)
+    assert all(type(mark) is int for seg in pr._segments for mark in seg.marks)
 
 
 def test_segment_products_for_the_theta_jump():
     import heckescan.primes as pr
 
     seen = []
-    for i in range(8):
+    for i in range(9):
         seg = pr._segment(i)
         assert seg.start == len(seen) and len(seg.primes) == 1 << i
-        assert seg.below == math.prod(seen)
+        # from segment 4 on, one mark step spans several primes
+        assert seg.mark_level == max(0, i - 3)
+        assert len(seg.marks) == min(1 << i, pr._MARK_STEPS) + 1
+        assert seg.marks[0] == math.prod(seen)
         for m in range(len(seg.primes) + 1):
-            assert seg.prefix_product(m) == math.prod(seg.primes[:m])
+            assert seg.primorial(m) == math.prod(seen + list(seg.primes[:m]))
+        assert seg.marks[-1] == pr._segment(i + 1).marks[0]
         seen.extend(seg.primes)
         assert seg.log_prefix[-1] == pytest.approx(math.log(math.prod(seen)), rel=1e-12)
+
+
+def test_segments_cache_at_most_nine_marks():
+    import heckescan.primes as pr
+
+    for i in range(12):
+        assert len(pr._segment(i).marks) <= 9
+
+
+def test_theta_jump_across_mark_boundaries(monkeypatch):
+    import heckescan.primes as pr
+
+    ps = sieve(20_000).primes
+    seen_m = []
+    primorial = pr._SegmentTree.primorial
+
+    def spy(seg, m):
+        seen_m.append((seg.start, m))
+        return primorial(seg, m)
+
+    monkeypatch.setattr(pr._SegmentTree, "primorial", spy)
+    for i, t in ((9, 3), (10, 5)):
+        seg = pr._segment(i)
+        step = 1 << seg.mark_level
+        assert step > 1
+        boundary = t * step
+        for m in (boundary - 1, boundary, boundary + 1):
+            j = seg.start + m  # P_J = p_1 * ... * p_j
+            p_j = math.prod(ps[:j])
+            # one P_J short of P_(J+1): the jump divides by exactly P_J
+            seen_m.clear()
+            n = p_j * (ps[j] - 1)
+            assert pr._theta_jump(n) == _oracle(n, ps) == ps[j]
+            assert seen_m == [(seg.start, m)]
+            # p_(J+1)^3 on top of P_J: p_(J+2) is missing
+            n = p_j * ps[j] ** 3
+            assert pr._theta_jump(n) in (None, ps[j + 1])
+            assert smallest_nondivisor_prime(n) == _oracle(n, ps) == ps[j + 1]
+            # one prime past p_63 taken out, found by the jump or the search
+            for gone in (63, j - 2):
+                n = p_j // ps[gone]
+                assert pr._theta_jump(n) in (None, ps[gone])
+                assert smallest_nondivisor_prime(n) == _oracle(n, ps) == ps[gone]
 
 
 def _oracle(n, ps):
@@ -312,7 +360,7 @@ def test_smallest_nondivisor_threads_share_fresh_caches(monkeypatch, table_10k):
     import heckescan.primes as pr
 
     # Threads race to build the segments and the jump's caches from empty;
-    # a reader must never see a segment without its `below` or log prefix.
+    # a reader must never see a segment without its marks or log prefix.
     monkeypatch.setattr(pr, "_segments", [])
     monkeypatch.setattr(pr, "_seg_prime_pool", [])
     monkeypatch.setattr(pr, "_seg_pool_limit", 0)
