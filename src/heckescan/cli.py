@@ -21,7 +21,9 @@ decimal strings there.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
+import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -39,6 +41,17 @@ from .hecke import _decimal, charpoly_t2, check_irreducible, distinguish, eigenf
 from .modforms import miller_basis
 from .primes import THETA_BITS, primorial_row, sieve
 from .scan import MAEDA_CAVEAT, run_scan
+
+
+def _level(text):
+    """int(text), also past the 4300 digits at which int() stops reading
+    a decimal string; Decimal reads it whole."""
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+\s*", text):
+            return int(decimal.Decimal(text))
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _fmt(x, digits=20):
@@ -145,7 +158,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_distinguish)
 
     p = sub.add_parser("bound", help="distinguishing-index bounds for a level")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_level, required=True)
     _add_json(p)
     p.set_defaults(func=_cmd_bound)
 
@@ -320,18 +333,19 @@ def _cmd_distinguish(args):
 
 def _cmd_bound(args):
     rep = bound_report(args.level)
+    level = _decimal(rep.level)  # str() and json.dumps stop at 4300 digits
     if args.json:
-        print(json.dumps({
-            "level": rep.level,
+        rest = json.dumps({
             "p": rep.p,
             "murty_bound": rep.murty_bound,
             "main_bound": _fmt(rep.main_bound),
             "asymptotic": None if rep.asymptotic is None else [_fmt(v) for v in rep.asymptotic],
             "asymptotic_note": ASYMPTOTIC_NOTE,
             "prec_bits": THETA_BITS,
-        }))
+        })
+        print(f'{{"level": {level}, {rest[1:]}')
         return 0
-    print(f"N={rep.level} p={rep.p} murty_bound={rep.murty_bound} main_bound={_fmt(rep.main_bound)}")
+    print(f"N={level} p={rep.p} murty_bound={rep.murty_bound} main_bound={_fmt(rep.main_bound)}")
     if rep.asymptotic is not None:
         u, rh, cr = (_fmt(v) for v in rep.asymptotic)
         print(f"asymptotic ({ASYMPTOTIC_NOTE}): unconditional={u} rh={rh} cramer={cr}")

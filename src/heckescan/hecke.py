@@ -15,7 +15,7 @@ import decimal
 from dataclasses import dataclass
 from operator import mul
 
-from .modforms import _echelon_basis, dim_cusp, miller_basis
+from .modforms import _j_chain, dim_cusp, miller_basis
 from .primes import primes_above
 from .series import IntSeries, _int_convolve
 
@@ -43,18 +43,33 @@ def trace_t2(k):
     """(dim, trace) of T2 on the weight-k cusp space; (0, 0) for an empty
     space.
 
-    The trace reads only a_(2j)(f_j), so the echelon forms are built as a
-    staircase, f_j through q^(d+j), from a j-invariant chain at precision
-    d rather than the 2d of miller_basis; t2_coefficient checks that every
-    form reaches q^(2j)."""
+    On the echelon basis the diagonal entry of T2 at f_j is a_(2j)(f_j):
+    the 2^(k-1) a_(j/2)(f_j) term is 0, and so is a_(2j)(f_j) for 2j <= d.
+    The trace is therefore the sum of a_(2j)(f_j) over j > d/2, and only
+    the upper half of the basis is read, each row only at q^(2j) and at
+    the positions above its diagonal.  Back-substitution subtracts
+    r_i[m] * f_m for the raw coefficient r_i[m] of row i at every m in
+    i+1..d, since the forms f_m below are already echelon, so
+    a_n(f_i) = r_i[n] - sum_(m > i) r_i[m] a_n(f_m), needed only at even
+    n in (d, 2d] and for i >= n/2.  Row i = q^i * g_(d-i) is read through
+    q^(2i), so the chain runs only to g_(ceil(d/2)-1), g_m at precision
+    d - m.
+    """
     d = dim_cusp(k)
     if d == 0:
         return (0, 0)
-    basis = _echelon_basis(k, d, d, 2 * d)
-    t = 0
-    for j in range(1, d + 1):
-        t += t2_coefficient(basis.form(j), j, k)
-    return (d, t)
+    low = d // 2 + 1
+    # cols[j - low] holds a_(2j)(f_i) for i = d, d-1, ... down to the last
+    # row reduced
+    cols = [[] for _ in range(low, d + 1)]
+    trace = 0
+    for m, g in enumerate(_j_chain(k, d, range(d, low - 1, -1))):
+        i = d - m  # raw row i is q^i * g, so r_i[n] = g[n - i]
+        above = g[m:0:-1]  # r_i[d], r_i[d-1], ..., r_i[i+1]
+        for n, col in zip(range(2 * low - i, i + 1, 2), cols):
+            col.append(g[n] - sum(map(mul, above, col)))
+        trace += cols[i - low][-1]
+    return (d, trace)
 
 
 @dataclass(frozen=True)

@@ -173,14 +173,13 @@ def miller_basis(k, prec=None):
     of weight k - 12d and j = E4^3 / Delta the modular invariant; it
     equals Delta^r * E4^(3(d-r)) * head, so it starts at q^r with
     coefficient 1 and the rows are lower triangular with unit diagonal.
-    Written with D = Delta/q, row r is q^r * g_(d-r) along the chain
-    g_0 = D^d * head, g_(m+1) = g_m * (q*j) with q*j = E4^3 / D: one
-    series product per row.  D has constant term 1, so 1/D is an integer
-    series (prod (1 - q^n)^-24) and every g_m stays integral.  The rows
-    are then reduced above the diagonal by integer back-substitution,
-    so integrality never has to be cleared.  The chain runs at precision
-    prec - 1, all that row 1 (the one that needs most) reads after its
-    own shift by q.
+    Written with D = Delta/q, row r is q^r * g_(d-r) along the chain of
+    _j_chain, one series product per row.  D has constant term 1, so 1/D
+    is an integer series (prod (1 - q^n)^-24) and every g_m stays
+    integral.  The rows are then reduced above the diagonal by integer
+    back-substitution, so integrality never has to be cleared.  The chain
+    runs at precision prec - 1, all that row 1 (the one that needs most)
+    reads after its own shift by q.
     """
     if k % 2 != 0:
         raise ValueError(f"weight must be even, got {k}")
@@ -191,38 +190,14 @@ def miller_basis(k, prec=None):
         raise ValueError(f"precision {prec} below 2*dim = {2 * d}")
     if d == 0:
         return MillerBasis(k, 0, ())
-    return _echelon_basis(k, d, prec - 1, prec)
 
-
-def _echelon_basis(k, d, chain_prec, cap):
-    """The echelon basis of miller_basis with the j-invariant chain at
-    precision chain_prec and each form cut at q^cap.
-
-    Form f_j reaches q^min(cap, chain_prec + j).  Position n of f_j after
-    back-substitution reads only position n of the forms below it, so a
-    short chain gives a staircase that is exact as far as it goes: with
-    chain_prec = d, f_j holds q^1 .. q^(d+j), enough for the echelon
-    shape and for a_(2j)(f_j), the coefficient the T2 trace reads.
-    """
-    e4, e6, dq, qj = _level1(chain_prec)
-    a, b = _EIS_MONOMIAL[k % 12]
-    g = series_pow(dq, d)
-    for factor in [e4] * a + [e6] * b:  # times head = E4^a E6^b
-        g = series_mul(g, factor)
-
-    raw = []  # rows d, d-1, ..., 1 from g_0, g_1, ..., g_(d-1)
-    for j in range(d, 0, -1):
-        if j < d:
-            g = series_mul(g, qj)
-        raw.append([0] * j + list(g.coeffs[: cap + 1 - j]))
+    # rows d, d-1, ..., 1 from g_0, g_1, ..., g_(d-1), row r through q^prec
+    chain = _j_chain(k, d, [prec - 1] * d)
+    raw = [[0] * (d - m) + list(g[: prec + 1 - d + m]) for m, g in enumerate(chain)]
     raw.reverse()
 
-    for j in range(d):
-        if raw[j][j + 1] != 1:
-            raise ArithmeticError(f"leading coefficient of span form {j + 1} is {raw[j][j + 1]}")
-
     # Back-substitute: rows below are already final when row j is reduced,
-    # and each reaches at least as far as row j.
+    # and each reaches as far as row j.
     for j in range(d - 2, -1, -1):
         row = raw[j]
         for i in range(j + 1, d):
@@ -236,3 +211,29 @@ def _echelon_basis(k, d, chain_prec, cap):
     basis = MillerBasis(k, d, forms)
     basis.validate()
     return basis
+
+
+def _j_chain(k, d, precs):
+    """Yield the coefficients of g_0, g_1, ... through q^precs[0],
+    q^precs[1], ..., one for each entry of precs, which must not
+    increase: the chain g_0 = D^d * head, g_(m+1) = g_m * (q*j) of the
+    weight-k span, whose row d - m is q^(d-m) * g_m (see miller_basis).
+
+    Each product is cut at the precision its g_m is asked for, so a
+    caller whose rows read less further down the chain (trace_t2)
+    multiplies ever shorter series.  Every g_m must start with 1, the
+    leading coefficient of its row.
+    """
+    e4, e6, dq, qj = _level1(precs[0])
+    a, b = _EIS_MONOMIAL[k % 12]
+    g = series_pow(dq, d)
+    for factor in [e4] * a + [e6] * b:  # times head = E4^a E6^b
+        g = series_mul(g, factor)
+    for m, prec in enumerate(precs):
+        if m:
+            if qj.prec > prec:
+                qj = IntSeries(qj.coeffs[: prec + 1])
+            g = series_mul(g, qj)
+        if g[0] != 1:
+            raise ArithmeticError(f"leading coefficient of span form {d - m} is {g[0]}")
+        yield g.coeffs

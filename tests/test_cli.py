@@ -1,5 +1,6 @@
 import decimal
 import json
+import math
 import os
 
 import mpmath
@@ -171,6 +172,22 @@ def test_bound_json(capsys):
     assert data["p"] == 11
     assert data["murty_bound"] == 121
     assert data["main_bound"].startswith("161.14")
+
+
+def test_bound_level_past_4300_digits(capsys):
+    # P_2000 = 2 * 3 * ... * 17389 has 7483 digits, past where int() and
+    # str() stop; the next prime 17393 is the smallest non-divisor
+    primes = [n for n in range(2, 17394) if all(n % p for p in range(2, math.isqrt(n) + 1))]
+    assert len(primes) == 2001
+    level = math.prod(primes[:2000])
+    text = str(decimal.Decimal(level))
+    assert len(text) == 7483
+    assert dispatch(["bound", "--level", text]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith(f"N={text} p=17393 murty_bound={17393**2} main_bound=")
+    assert dispatch(["bound", "--level", text, "--json"]) == 0
+    data = json.loads(capsys.readouterr().out, parse_int=lambda s: int(decimal.Decimal(s)))
+    assert (data["level"], data["p"], data["murty_bound"]) == (level, 17393, 17393**2)
 
 
 def test_theta_check_small(capsys):

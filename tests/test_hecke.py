@@ -263,8 +263,8 @@ def test_trace_matches_eichler_selberg_formula_to_600():
 
 
 def test_staircase_trace_equals_the_full_basis_trace_to_300():
-    # trace_t2 reads the staircase of a precision-d chain, t2_matrix the
-    # full basis of miller_basis
+    # trace_t2 reads the upper half of the raw rows from a chain cut at
+    # q^(d-m), t2_matrix the full basis of miller_basis
     for k in range(2, 301, 2):
         m = t2_matrix(k)
         assert trace_t2(k) == (m.dim, m.trace), k

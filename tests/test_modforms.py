@@ -13,9 +13,10 @@ from heckescan.modforms import (
     eisenstein,
     miller_basis,
     _discriminant,
-    _echelon_basis,
+    _j_chain,
     _level1,
 )
+from heckescan.hecke import trace_t2
 from heckescan.series import IntSeries, series_inv, series_mul, series_pow
 from test_bounds import _interleaved
 
@@ -285,31 +286,64 @@ def test_basis_echelon_and_integrality_random_weights():
             assert all(isinstance(c, int) for c in f.coeffs)
 
 
-def test_staircase_forms_are_the_basis_forms_through_d_plus_j():
-    # the chain at precision d gives f_j exactly through q^(d+j)
+def trace_rows(k):
+    """{r: raw row r = q^r * g_(d-r) through q^(2r)} for the rows r > d/2,
+    the ones trace_t2 reads, from the chain at the precisions it asks."""
+    d = dim_cusp(k)
+    low = d // 2 + 1
+    chain = _j_chain(k, d, range(d, low - 1, -1))
+    return {d - m: (0,) * (d - m) + g for m, g in enumerate(chain)}
+
+
+def test_trace_rows_are_the_basis_rows_through_q_2r():
+    # raw row r reduces to f_r by subtracting its own coefficient at q^m
+    # times f_m for every m above r, so it is f_r + sum row[m] * f_m
     for k in (12, 24, 26, 38, 48, 100, 122, 240, 302, 480):
         d = dim_cusp(k)
-        stair = _echelon_basis(k, d, d, 2 * d)
-        for j, (s, f) in enumerate(zip(stair.forms, miller_basis(k).forms), start=1):
-            assert s.prec == d + j, (k, j)
-            assert s.coeffs == f.coeffs[: d + j + 1], (k, j)
+        forms = miller_basis(k).forms
+        rows = trace_rows(k)
+        assert sorted(rows) == list(range(d // 2 + 1, d + 1)), k
+        for r, row in rows.items():
+            want = list(forms[r - 1].coeffs[: 2 * r + 1])
+            for m in range(r + 1, d + 1):
+                for n, c in enumerate(forms[m - 1].coeffs[: 2 * r + 1]):
+                    want[n] += row[m] * c
+            assert row == tuple(want), (k, r)
+
+
+def test_trace_makes_one_chain_product_per_row_below_the_top(monkeypatch):
+    # ceil(d/2) - 1 products by q*j, the m-th cut at q^(d-m)
+    qj = _level1(2 * dim_cusp(1000))[3].coeffs
+    precs = []
+
+    def counting_mul(f, g):
+        if g.coeffs == qj[: g.prec + 1]:
+            precs.append(min(f.prec, g.prec))
+        return series_mul(f, g)
+
+    monkeypatch.setattr(heckescan.modforms, "series_mul", counting_mul)
+    for k in (12, 24, 36, 48, 100, 366, 612, 1000):
+        d = dim_cusp(k)
+        precs.clear()
+        trace_t2(k)
+        assert precs == list(range(d - 1, d - (d + 1) // 2, -1)), k
 
 
 def test_both_chain_precisions_check_the_leading_coefficients(monkeypatch):
-    import heckescan.modforms
-    from heckescan.hecke import trace_t2
-    from heckescan.series import IntSeries, series_inv
-
-    def doubled_inv(f):  # q*j then starts at 2, and row d-r at 2^r
+    def doubled_inv(f):  # q*j then starts at 2, and g_m at 2^m
         return IntSeries([2 * c for c in series_inv(f).coeffs])
 
     # an empty cache, so that the level-1 series are built with the broken
     # inverse; the cache of the session comes back at undo
     monkeypatch.setattr(heckescan.modforms, "_level1_cache", None)
     monkeypatch.setattr(heckescan.modforms, "series_inv", doubled_inv)
-    for build in (miller_basis, trace_t2):
-        with pytest.raises(ArithmeticError, match="span form 1 is 2$"):
-            build(24)
+    with pytest.raises(ArithmeticError, match="span form 1 is 2$"):
+        miller_basis(24)
+    # weight 48 (dim 4): the trace reads rows 4 and 3 = q^3 * g_1
+    with pytest.raises(ArithmeticError, match="span form 3 is 2$"):
+        trace_t2(48)
+    # weight 24 (dim 2): the trace reads only row 2 = q^2 * D^2, no q*j
+    assert trace_t2(24) == (2, 1080)
     monkeypatch.undo()
     assert trace_t2(24) == (2, 1080)
 
@@ -354,9 +388,7 @@ def test_level1_cache_is_rebuilt_at_exactly_the_precision_asked(empty_level1):
 
 def test_cold_and_warm_cache_give_identical_bases(empty_level1):
     def bases(k):
-        d = dim_cusp(k)
-        stair = _echelon_basis(k, d, d, 2 * d) if d else None
-        return miller_basis(k), stair
+        return miller_basis(k), trace_rows(k) if dim_cusp(k) else None
 
     weights = range(0, 301, 2)
     cold = {}
