@@ -106,8 +106,8 @@ class BoundReport:
 
 
 def bound_report(n):
-    p = smallest_nondivisor_prime(n)
     big_l = _log_level(n)
+    p = smallest_nondivisor_prime(n)
     return BoundReport(n, p, p * p, _closed_form(big_l), _asymptotic(big_l) if n >= 3 else None)
 
 

@@ -130,6 +130,38 @@ def _discriminant(e4_cubed, e6):
     return IntSeries(out)
 
 
+def _delta_q_power(e, prec):
+    """(Delta/q)^e through q^prec by J.C.P. Miller's power recurrence.
+
+    Delta/q = prod (1 - q^n)^24 = J^8, where J = prod (1 - q^n)^3 =
+    sum_m (-1)^m (2m + 1) q^(m(m+1)/2) (Jacobi's identity) has only about
+    sqrt(2 prec) nonzero terms through q^prec.  So g = J^(8e) has g_0 = 1
+    and n g_n = sum ((8e + 1) j - n) J_j g_(n-j) over the triangular
+    j <= n (Knuth, TAOCP vol. 2, 4.7): O(prec^1.5) small-by-big products
+    and no series product.  Each division by n is checked to be exact.
+    """
+    terms = []  # (j, J_j) for the triangular j = m(m+1)/2 <= prec, m >= 1
+    m = 1
+    while m * (m + 1) // 2 <= prec:
+        terms.append((m * (m + 1) // 2, -(2 * m + 1) if m % 2 else 2 * m + 1))
+        m += 1
+    a = 8 * e + 1
+    g = [1]
+    for n in range(1, prec + 1):
+        s = 0
+        for j, c in terms:
+            if j > n:
+                break
+            s += (a * j - n) * c * g[n - j]
+        q, r = divmod(s, n)
+        if r:
+            raise ArithmeticError(
+                f"(Delta/q)^{e} not integral at q^{n}: power recurrence is broken"
+            )
+        g.append(q)
+    return IntSeries(g)
+
+
 def dim_cusp(k):
     """Dimension of the weight-k cusp space on the full modular group."""
     if k % 2 != 0 or k < 12 or k == 14:
@@ -174,12 +206,14 @@ def miller_basis(k, prec=None):
     equals Delta^r * E4^(3(d-r)) * head, so it starts at q^r with
     coefficient 1 and the rows are lower triangular with unit diagonal.
     Written with D = Delta/q, row r is q^r * g_(d-r) along the chain of
-    _j_chain, one series product per row.  D has constant term 1, so 1/D
-    is an integer series (prod (1 - q^n)^-24) and every g_m stays
-    integral.  The rows are then reduced above the diagonal by integer
-    back-substitution, so integrality never has to be cleared.  The chain
-    runs at precision prec - 1, all that row 1 (the one that needs most)
-    reads after its own shift by q.
+    _j_chain, one series product per row after D^d * head, whose D^d
+    comes from the power recurrence of _delta_q_power, not from series
+    products.  D has constant term 1, so 1/D is an integer series
+    (prod (1 - q^n)^-24) and every g_m stays integral.  The rows are
+    then reduced above the diagonal by integer back-substitution, so
+    integrality never has to be cleared.  The chain runs at precision
+    prec - 1, all that row 1 (the one that needs most) reads after its
+    own shift by q.
     """
     if k % 2 != 0:
         raise ValueError(f"weight must be even, got {k}")
@@ -219,14 +253,16 @@ def _j_chain(k, d, precs):
     increase: the chain g_0 = D^d * head, g_(m+1) = g_m * (q*j) of the
     weight-k span, whose row d - m is q^(d-m) * g_m (see miller_basis).
 
-    Each product is cut at the precision its g_m is asked for, so a
-    caller whose rows read less further down the chain (trace_t2)
-    multiplies ever shorter series.  Every g_m must start with 1, the
-    leading coefficient of its row.
+    D^d is built by _delta_q_power from Jacobi's sparse series for
+    prod (1 - q^n)^3, with no series product; then head and each step of
+    the chain take one series_mul each.  Each product is cut at the
+    precision its g_m is asked for, so a caller whose rows read less
+    further down the chain (trace_t2) multiplies ever shorter series.
+    Every g_m must start with 1, the leading coefficient of its row.
     """
-    e4, e6, dq, qj = _level1(precs[0])
+    e4, e6, _, qj = _level1(precs[0])
     a, b = _EIS_MONOMIAL[k % 12]
-    g = series_pow(dq, d)
+    g = _delta_q_power(d, precs[0])
     for factor in [e4] * a + [e6] * b:  # times head = E4^a E6^b
         g = series_mul(g, factor)
     for m, prec in enumerate(precs):

@@ -174,6 +174,15 @@ def test_bound_json(capsys):
     assert data["main_bound"].startswith("161.14")
 
 
+@pytest.mark.parametrize("level", ["0", "-5"])
+def test_bound_rejects_a_level_below_one(level, capsys):
+    # the level check comes before the non-divisor search, text and JSON
+    for argv in (["bound", "--level", level], ["bound", "--level", level, "--json"]):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: level must be a positive integer\n")
+
+
 def test_bound_level_past_4300_digits(capsys):
     # P_2000 = 2 * 3 * ... * 17389 has 7483 digits, past where int() and
     # str() stop; the next prime 17393 is the smallest non-divisor

@@ -12,6 +12,8 @@ from heckescan.modforms import (
     dim_cusp,
     eisenstein,
     miller_basis,
+    _EIS_MONOMIAL,
+    _delta_q_power,
     _discriminant,
     _j_chain,
     _level1,
@@ -186,6 +188,23 @@ def test_delta_matches_product_expansion_to_64():
     assert list(delta(64).coeffs) == delta_product_oracle(64)
 
 
+def test_delta_q_power_equals_repeated_squaring_of_the_cached_delta_over_q():
+    for e in range(91):
+        for prec in sorted({0, 1, e // 2, e, max(2 * e - 1, 0), 2 * e}):
+            assert _delta_q_power(e, prec) == series_pow(_level1(prec)[2], e), (e, prec)
+
+
+def test_delta_q_power_one_is_the_product_expansion_shifted():
+    assert list(_delta_q_power(1, 63).coeffs) == delta_product_oracle(64)[1:]
+
+
+def test_delta_q_power_checks_every_division():
+    # e = 1/16 asks for J^(1/2) = prod (1 - q^n)^(3/2) = 1 - (3/2) q + ...,
+    # which the recurrence reaches only through an inexact division by n
+    with pytest.raises(ArithmeticError, match="not integral at q\\^1:"):
+        _delta_q_power(Fraction(1, 16), 5)
+
+
 def test_e4_cubed_minus_e6_squared_divisible_by_1728():
     prec = 40
     e4 = eisenstein(4, prec)
@@ -312,21 +331,32 @@ def test_trace_rows_are_the_basis_rows_through_q_2r():
 
 
 def test_trace_makes_one_chain_product_per_row_below_the_top(monkeypatch):
-    # ceil(d/2) - 1 products by q*j, the m-th cut at q^(d-m)
+    # ceil(d/2) - 1 products by q*j, the m-th cut at q^(d-m), after the a + b
+    # products by the head E4^a E6^b; D^d comes from no series product at all
     qj = _level1(2 * dim_cusp(1000))[3].coeffs
     precs = []
+    calls = {"mul": 0, "pow": 0}
 
     def counting_mul(f, g):
+        calls["mul"] += 1
         if g.coeffs == qj[: g.prec + 1]:
             precs.append(min(f.prec, g.prec))
         return series_mul(f, g)
 
+    def counting_pow(f, e):
+        calls["pow"] += 1
+        return series_pow(f, e)
+
     monkeypatch.setattr(heckescan.modforms, "series_mul", counting_mul)
+    monkeypatch.setattr(heckescan.modforms, "series_pow", counting_pow)
     for k in (12, 24, 36, 48, 100, 366, 612, 1000):
         d = dim_cusp(k)
+        a, b = _EIS_MONOMIAL[k % 12]
         precs.clear()
+        calls.update(mul=0, pow=0)
         trace_t2(k)
         assert precs == list(range(d - 1, d - (d + 1) // 2, -1)), k
+        assert calls == {"mul": a + b + (d + 1) // 2 - 1, "pow": 0}, k
 
 
 def test_both_chain_precisions_check_the_leading_coefficients(monkeypatch):
