@@ -1,7 +1,7 @@
 """Exact q-expansion arithmetic, T2 Hecke traces for level-1 cusp forms,
 weight-range duplicate scanning, and prime-counting bound verification."""
 
-from .series import IntSeries, series_mul, series_pow
+from .series import IntSeries, series_mul
 from .modforms import (
     MillerBasis,
     bernoulli,
@@ -29,7 +29,6 @@ from .primes import (
     primorial_row,
     sieve,
     smallest_nondivisor_prime,
-    theta,
 )
 from .bounds import (
     ASYMPTOTIC_NOTE,
@@ -38,7 +37,6 @@ from .bounds import (
     BoundReport,
     CheckReport,
     FailureInterval,
-    asymptotic_bounds,
     bound_report,
     exceptional_levels,
     failure_intervals,

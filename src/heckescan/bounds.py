@@ -68,6 +68,10 @@ def _closed_form(big_l):
 
 
 def _asymptotic(big_l):
+    """The three asymptotic bound shapes with implied constant 1:
+    (L + L^0.525)^2, (L + sqrt(L) log L)^2 and (L + (log L)^2)^2.  Only
+    the shapes mean anything (ASYMPTOTIC_NOTE); bound_report asks only
+    for n >= 3, where log L is positive."""
     prec = THETA_BITS
     log_l = mpf_log(big_l, prec, "n")
     terms = (
@@ -82,16 +86,6 @@ def main_bound(n):
     """4*(log n + 1)**2 as an extended-precision real; integer callers
     take the floor."""
     return _closed_form(_log_level(n))
-
-
-def asymptotic_bounds(n):
-    """The three asymptotic bound shapes evaluated with implied constant 1:
-    (L + L^0.525)^2, (L + sqrt(L)*log L)^2, (L + (log L)^2)^2 for L = log n.
-    Only the shapes are meaningful (see ASYMPTOTIC_NOTE); needs n >= 3 so
-    log log n is defined and positive."""
-    if n < 3:
-        raise ValueError("asymptotic expressions need n >= 3 (log log n > 0)")
-    return _asymptotic(_log_level(n))
 
 
 @dataclass(frozen=True)

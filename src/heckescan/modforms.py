@@ -5,12 +5,12 @@ the discriminant cusp form, the dimension of the weight-k cusp space,
 and the echelonized integral basis f_1, ..., f_d of that space with
 f_j = q^j + O(q^(d+1)).
 
-The weight-independent series every basis is built from, E4 and E6
-through q^(P+1) and Delta/q and q*j = E4^3 / (Delta/q) through q^P, live
-in one process-wide cache, `_level1_cache`.  It only grows: a call that
-needs a precision above P rebuilds it at exactly that precision, and
-every caller reads exact truncations of it, so a result never depends
-on what the process computed before.
+The weight-independent series every basis is built from, E4, E6 and
+q*j = E4^3 / (Delta/q) through q^P, live in one process-wide cache,
+`_level1_cache`.  It only grows: a call that needs a precision above P
+rebuilds it at exactly that precision, and every caller reads exact
+truncations of it, so a result never depends on what the process
+computed before.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import IntSeries, series_inv, series_mul, series_pow
+from .series import IntSeries, series_mul, series_pow
 
 _bern_cache: list[Fraction] = [Fraction(1)]
 _bern_lock = threading.Lock()
 
-# (P, E4, E6, Delta/q, q*j), see the module docstring; None until first use.
-_level1_cache: tuple[int, IntSeries, IntSeries, IntSeries, IntSeries] | None = None
+# (P, E4, E6, q*j), see the module docstring; None until first use.
+_level1_cache: tuple[int, IntSeries, IntSeries, IntSeries] | None = None
 _level1_lock = threading.Lock()
 
 # k mod 12 -> exponents (a, b) with E4^a * E6^b of weight k mod 12
@@ -87,51 +87,28 @@ def delta(prec):
     """The discriminant cusp form q - 24q^2 + 252q^3 - ..., weight 12."""
     if prec < 0:
         raise ValueError("precision must be nonnegative")
-    dq = _level1(max(prec - 1, 0))[2]
-    return IntSeries((0,) + dq.coeffs[:prec])
+    return IntSeries((0,) + _delta_q_power(1, max(prec - 1, 0)).coeffs[:prec])
 
 
 def _level1(prec):
-    """(E4, E6, Delta/q, q*j), the first two through q^(prec+1) and the
-    others through q^prec, cut from the process-wide cache; a cache
-    shorter than prec is first rebuilt at exactly prec."""
+    """(E4, E6, q*j) through q^prec, cut from the process-wide cache; a
+    cache shorter than prec is first rebuilt at exactly prec."""
     global _level1_cache
     cache = _level1_cache
     if cache is None or cache[0] < prec:
         with _level1_lock:
             cache = _level1_cache
             if cache is None or cache[0] < prec:
-                e4 = eisenstein(4, prec + 1)
-                e6 = eisenstein(6, prec + 1)
-                e4_cubed = series_pow(e4, 3)
-                dq = IntSeries(_discriminant(e4_cubed, e6).coeffs[1:])
-                qj = series_mul(e4_cubed, series_inv(dq))
-                cache = _level1_cache = (prec, e4, e6, dq, qj)
-    _, e4, e6, dq, qj = cache
-    return (
-        IntSeries(e4.coeffs[: prec + 2]),
-        IntSeries(e6.coeffs[: prec + 2]),
-        IntSeries(dq.coeffs[: prec + 1]),
-        IntSeries(qj.coeffs[: prec + 1]),
-    )
-
-
-def _discriminant(e4_cubed, e6):
-    """Delta = (E4^3 - E6^2) / 1728, the division checked to be exact."""
-    num = e4_cubed - series_mul(e6, e6)
-    out = []
-    for n, c in enumerate(num.coeffs):
-        q, r = divmod(c, 1728)
-        if r:
-            raise ArithmeticError(
-                f"E4^3 - E6^2 not divisible by 1728 at q^{n}: series kernel is broken"
-            )
-        out.append(q)
-    return IntSeries(out)
+                e4 = eisenstein(4, prec)
+                e6 = eisenstein(6, prec)
+                qj = series_mul(series_pow(e4, 3), _delta_q_power(-1, prec))
+                cache = _level1_cache = (prec, e4, e6, qj)
+    return tuple(IntSeries(f.coeffs[: prec + 1]) for f in cache[1:])
 
 
 def _delta_q_power(e, prec):
-    """(Delta/q)^e through q^prec by J.C.P. Miller's power recurrence.
+    """(Delta/q)^e through q^prec, for any integer e, by J.C.P. Miller's
+    power recurrence; e = -1 gives 1/(Delta/q) = prod (1 - q^n)^-24.
 
     Delta/q = prod (1 - q^n)^24 = J^8, where J = prod (1 - q^n)^3 =
     sum_m (-1)^m (2m + 1) q^(m(m+1)/2) (Jacobi's identity) has only about
@@ -209,11 +186,11 @@ def miller_basis(k, prec=None):
     _j_chain, one series product per row after D^d * head, whose D^d
     comes from the power recurrence of _delta_q_power, not from series
     products.  D has constant term 1, so 1/D is an integer series
-    (prod (1 - q^n)^-24) and every g_m stays integral.  The rows are
-    then reduced above the diagonal by integer back-substitution, so
-    integrality never has to be cleared.  The chain runs at precision
-    prec - 1, all that row 1 (the one that needs most) reads after its
-    own shift by q.
+    (prod (1 - q^n)^-24, from the same recurrence) and every g_m stays
+    integral.  The rows are then reduced above the diagonal by integer
+    back-substitution, so integrality never has to be cleared.  The
+    chain runs at precision prec - 1, all that row 1 (the one that needs
+    most) reads after its own shift by q.
     """
     if k % 2 != 0:
         raise ValueError(f"weight must be even, got {k}")
@@ -260,7 +237,7 @@ def _j_chain(k, d, precs):
     further down the chain (trace_t2) multiplies ever shorter series.
     Every g_m must start with 1, the leading coefficient of its row.
     """
-    e4, e6, _, qj = _level1(precs[0])
+    e4, e6, qj = _level1(precs[0])
     a, b = _EIS_MONOMIAL[k % 12]
     g = _delta_q_power(d, precs[0])
     for factor in [e4] * a + [e6] * b:  # times head = E4^a E6^b

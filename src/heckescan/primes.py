@@ -38,8 +38,7 @@ class PrimeTable:
     @functools.cached_property
     def theta_prefix(self):
         """theta_prefix[i] is sum(log p) over the first i+1 primes at
-        THETA_BITS, built on first read (`theta`, `primorial_row`,
-        `theta-plot`)."""
+        THETA_BITS, built on first read (`primorial_row`, `theta-plot`)."""
         # the raw-tuple form of total += mpmath.log(p) under workprec(THETA_BITS):
         # the same libmp calls at the same precision and rounding, bit for bit
         prec = THETA_BITS
@@ -80,17 +79,6 @@ def sieve(limit):
         raise ValueError("sieve limit must be at least 2")
     flags = _sieve_flags(limit)
     return PrimeTable(limit, tuple(compress(range(limit + 1), flags)))
-
-
-def theta(x, table):
-    """Chebyshev theta(x) = sum of log p over primes p <= x, read off the
-    table (right-continuous step function)."""
-    if x > table.limit:
-        raise ValueError(f"theta({x}) beyond table limit {table.limit}")
-    idx = bisect.bisect_right(table.primes, x)
-    if idx == 0:
-        return mpmath.mpf(0)
-    return table.theta_prefix[idx - 1]
 
 
 def primorial_row(k, table):

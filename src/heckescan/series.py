@@ -9,13 +9,10 @@ Multiplication is the plain Cauchy product.  For large operands the same
 product is computed by Kronecker substitution (coefficients packed into a
 single big integer, one big multiply, then unpacked); the two paths are
 bit-for-bit identical and the test suite checks them against each other.
-A series with constant term +-1 has an integral inverse, computed term by
-term.
 """
 
 from __future__ import annotations
 
-import operator
 from itertools import islice
 
 try:
@@ -54,10 +51,6 @@ class IntSeries:
         self.coeffs = tuple(cs)
         self.prec = len(cs) - 1
 
-    @classmethod
-    def one(cls, prec):
-        return cls([1], prec=prec)
-
     def __getitem__(self, n):
         if not 0 <= n <= self.prec:
             raise IndexError(f"coefficient of q^{n} not stored (precision {self.prec})")
@@ -76,26 +69,6 @@ class IntSeries:
         tail = ", ..." if self.prec >= 8 else ""
         return f"IntSeries([{shown}{tail}], prec={self.prec})"
 
-    def __add__(self, other):
-        if not isinstance(other, IntSeries):
-            return NotImplemented
-        n = min(self.prec, other.prec)
-        return IntSeries([a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])])
-
-    def __sub__(self, other):
-        if not isinstance(other, IntSeries):
-            return NotImplemented
-        n = min(self.prec, other.prec)
-        return IntSeries([a - b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])])
-
-    def __mul__(self, other):
-        if not isinstance(other, IntSeries):
-            return NotImplemented
-        return series_mul(self, other)
-
-    def __pow__(self, e):
-        return series_pow(self, e)
-
 
 def series_mul(f, g):
     """Cauchy product truncated to min(prec(f), prec(g))."""
@@ -111,7 +84,7 @@ def series_pow(f, e):
         raise ValueError("exponent must be a nonnegative integer")
     if not isinstance(f, IntSeries):
         raise TypeError("IntSeries operand expected")
-    result = IntSeries.one(f.prec)
+    result = IntSeries([1], prec=f.prec)
     base = f
     while e:
         if e & 1:
@@ -120,25 +93,6 @@ def series_pow(f, e):
         if e:
             base = series_mul(base, base)
     return result
-
-
-def series_inv(f):
-    """1/f at the precision of f, for f with constant term +1 or -1.
-
-    Only a unit constant term keeps the inverse integral; any other is a
-    ValueError.  Solves f*g = 1 term by term: g_n = -c * sum f_i g_(n-i)
-    with c = f_0 = 1/f_0.
-    """
-    if not isinstance(f, IntSeries):
-        raise TypeError("IntSeries operand expected")
-    c = f.coeffs[0]
-    if c not in (1, -1):
-        raise ValueError(f"constant term {c} is not a unit; 1/f is not integral")
-    fs = f.coeffs
-    g = [c]
-    for n in range(1, f.prec + 1):
-        g.append(-c * sum(map(operator.mul, fs[1 : n + 1], reversed(g))))
-    return IntSeries(g)
 
 
 def _int_convolve(a, b, n_out):

@@ -11,7 +11,6 @@ import pytest
 from heckescan.bounds import (
     DUSART_COEFF,
     UNSHIFTED_X_MAX,
-    asymptotic_bounds,
     bound_report,
     exceptional_levels,
     failure_intervals,
@@ -79,17 +78,18 @@ def test_dominance_sampled():
 
 
 def test_asymptotic_smallest_input():
-    e1, e2, e3 = asymptotic_bounds(3)
+    e1, e2, e3 = bound_report(3).asymptotic
     assert all(mpmath.isfinite(v) and v > 0 for v in (e1, e2, e3))
 
 
 def test_asymptotic_rejects_small_n():
-    with pytest.raises(ValueError):
-        asymptotic_bounds(2)
+    # log log n is not positive below 3, so no shape is evaluated there
+    for n in (1, 2):
+        assert bound_report(n).asymptotic is None
 
 
 def test_asymptotic_against_independent_evaluation():
-    e1, e2, e3 = asymptotic_bounds(10**6)
+    e1, e2, e3 = bound_report(10**6).asymptotic
     big_l = math.log(10**6)
     log_l = math.log(big_l)
     assert float(e1) == pytest.approx((big_l + big_l**0.525) ** 2, rel=1e-12)
@@ -102,7 +102,7 @@ def test_asymptotic_against_independent_evaluation():
 
 def test_asymptotic_near_e_to_the_e():
     # at N = 15 (closest integer to e^e) the third shape sits near (e+1)^2
-    e3 = asymptotic_bounds(15)[2]
+    e3 = bound_report(15).asymptotic[2]
     with mpmath.workprec(96):
         target = (mpmath.e + 1) ** 2
         assert abs(e3 - target) < mpmath.mpf("0.2")
@@ -143,8 +143,6 @@ def test_bound_functions_equal_the_workprec_oracle():
         main = oracle_main_bound(n)._mpf_
         asym = tuple(v._mpf_ for v in oracle_asymptotic_bounds(n)) if n >= 3 else None
         assert main_bound(n)._mpf_ == main, n
-        if asym is not None:
-            assert tuple(v._mpf_ for v in asymptotic_bounds(n)) == asym, n
         rep = bound_report(n)
         assert rep.level == n
         assert rep.murty_bound == rep.p**2 == murty_bound(n)
@@ -154,7 +152,7 @@ def test_bound_functions_equal_the_workprec_oracle():
 
 def test_bound_functions_keep_their_level_checks():
     for n in (0, -6):
-        for fn in (main_bound, asymptotic_bounds, bound_report):
+        for fn in (main_bound, bound_report):
             with pytest.raises(ValueError):
                 fn(n)
     assert bound_report(1).asymptotic is None

@@ -14,13 +14,13 @@ from heckescan.modforms import (
     miller_basis,
     _EIS_MONOMIAL,
     _delta_q_power,
-    _discriminant,
     _j_chain,
     _level1,
 )
 from heckescan.hecke import trace_t2
-from heckescan.series import IntSeries, series_inv, series_mul, series_pow
+from heckescan.series import IntSeries, series_mul, series_pow
 from test_bounds import _interleaved
+from test_series import series_inv_oracle
 
 # --- independent oracles -------------------------------------------------
 
@@ -51,6 +51,16 @@ def delta_product_oracle(prec):
         for _ in range(24):
             out = conv(out, factor, prec)
     return out
+
+
+def delta_over_q_1728(prec):
+    """Delta/q through q^prec by the route that shares nothing with the
+    power recurrence: (E4^3 - E6^2) / 1728, shifted down by q."""
+    e4 = eisenstein(4, prec + 1)
+    e6 = eisenstein(6, prec + 1)
+    num = [a - b for a, b in zip(series_pow(e4, 3).coeffs, series_mul(e6, e6).coeffs)]
+    assert all(c % 1728 == 0 for c in num)
+    return IntSeries([c // 1728 for c in num[1:]])
 
 
 def bernoulli_double_sum(n):
@@ -184,14 +194,28 @@ def test_delta_small():
     assert delta(0).coeffs == (0,)
 
 
+def test_delta_rejects_negative_precision():
+    with pytest.raises(ValueError, match="precision must be nonnegative"):
+        delta(-1)
+
+
 def test_delta_matches_product_expansion_to_64():
     assert list(delta(64).coeffs) == delta_product_oracle(64)
 
 
-def test_delta_q_power_equals_repeated_squaring_of_the_cached_delta_over_q():
+def test_delta_q_power_equals_repeated_squaring_of_delta_over_q():
+    dq = delta_over_q_1728(180).coeffs
     for e in range(91):
         for prec in sorted({0, 1, e // 2, e, max(2 * e - 1, 0), 2 * e}):
-            assert _delta_q_power(e, prec) == series_pow(_level1(prec)[2], e), (e, prec)
+            want = series_pow(IntSeries(dq[: prec + 1]), e)
+            assert _delta_q_power(e, prec) == want, (e, prec)
+
+
+def test_delta_q_power_at_minus_e_is_the_inverse_at_e():
+    for e in range(1, 31):
+        for prec in sorted({0, 1, 2, e, 2 * e + 1, 60}):
+            want = series_inv_oracle(_delta_q_power(e, prec))
+            assert _delta_q_power(-e, prec) == want, (e, prec)
 
 
 def test_delta_q_power_one_is_the_product_expansion_shifted():
@@ -203,14 +227,20 @@ def test_delta_q_power_checks_every_division():
     # which the recurrence reaches only through an inexact division by n
     with pytest.raises(ArithmeticError, match="not integral at q\\^1:"):
         _delta_q_power(Fraction(1, 16), 5)
+    # e = -1/16 asks for J^(-1/2) = 1 + (3/2) q + ..., as inexact at n = 1
+    with pytest.raises(ArithmeticError, match="not integral at q\\^1:"):
+        _delta_q_power(Fraction(-1, 16), 5)
 
 
 def test_e4_cubed_minus_e6_squared_divisible_by_1728():
-    prec = 40
-    e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    num = (e4 * e4 * e4) - (e6 * e6)
-    assert all(c % 1728 == 0 for c in num.coeffs)
+    # E4^3 - E6^2 = 1728 Delta, with Delta from the power recurrence; the
+    # precisions span both the schoolbook and the Kronecker product
+    for prec in range(201):
+        e4 = eisenstein(4, prec)
+        e6 = eisenstein(6, prec)
+        num = [a - b for a, b in zip(series_pow(e4, 3).coeffs, series_mul(e6, e6).coeffs)]
+        dq = _delta_q_power(1, prec - 1).coeffs if prec else ()
+        assert num == [0] + [1728 * c for c in dq], prec
 
 
 # --- dim_cusp ------------------------------------------------------------
@@ -333,7 +363,7 @@ def test_trace_rows_are_the_basis_rows_through_q_2r():
 def test_trace_makes_one_chain_product_per_row_below_the_top(monkeypatch):
     # ceil(d/2) - 1 products by q*j, the m-th cut at q^(d-m), after the a + b
     # products by the head E4^a E6^b; D^d comes from no series product at all
-    qj = _level1(2 * dim_cusp(1000))[3].coeffs
+    qj = _level1(2 * dim_cusp(1000))[2].coeffs
     precs = []
     calls = {"mul": 0, "pow": 0}
 
@@ -360,13 +390,16 @@ def test_trace_makes_one_chain_product_per_row_below_the_top(monkeypatch):
 
 
 def test_both_chain_precisions_check_the_leading_coefficients(monkeypatch):
-    def doubled_inv(f):  # q*j then starts at 2, and g_m at 2^m
-        return IntSeries([2 * c for c in series_inv(f).coeffs])
+    power = _delta_q_power
+
+    def doubled_inv(e, prec):  # q*j then starts at 2, and g_m at 2^m
+        g = power(e, prec)
+        return IntSeries([2 * c for c in g.coeffs]) if e == -1 else g
 
     # an empty cache, so that the level-1 series are built with the broken
     # inverse; the cache of the session comes back at undo
     monkeypatch.setattr(heckescan.modforms, "_level1_cache", None)
-    monkeypatch.setattr(heckescan.modforms, "series_inv", doubled_inv)
+    monkeypatch.setattr(heckescan.modforms, "_delta_q_power", doubled_inv)
     with pytest.raises(ArithmeticError, match="span form 1 is 2$"):
         miller_basis(24)
     # weight 48 (dim 4): the trace reads rows 4 and 3 = q^3 * g_1
@@ -382,12 +415,12 @@ def test_both_chain_precisions_check_the_leading_coefficients(monkeypatch):
 
 
 def fresh_level1(prec):
-    """(E4, E6, Delta/q, q*j) built from nothing at precision prec."""
-    e4 = eisenstein(4, prec + 1)
-    e6 = eisenstein(6, prec + 1)
-    e4_cubed = series_pow(e4, 3)
-    dq = IntSeries(_discriminant(e4_cubed, e6).coeffs[1:])
-    return e4, e6, dq, series_mul(e4_cubed, series_inv(dq))
+    """(E4, E6, q*j) built from nothing at precision prec, 1/(Delta/q) by
+    the term-by-term inverse of (E4^3 - E6^2) / 1728."""
+    e4 = eisenstein(4, prec)
+    e6 = eisenstein(6, prec)
+    qj = series_mul(series_pow(e4, 3), series_inv_oracle(delta_over_q_1728(prec)))
+    return e4, e6, qj
 
 
 @pytest.fixture
@@ -412,8 +445,9 @@ def test_level1_cache_is_rebuilt_at_exactly_the_precision_asked(empty_level1):
     for asked, held in ((5, 5), (3, 5), (40, 40), (12, 40), (41, 41)):
         _level1(asked)
         assert heckescan.modforms._level1_cache[0] == held, asked
+    cache = heckescan.modforms._level1_cache
     assert delta(60).prec == 60
-    assert heckescan.modforms._level1_cache[0] == 59
+    assert heckescan.modforms._level1_cache is cache
 
 
 def test_cold_and_warm_cache_give_identical_bases(empty_level1):
@@ -451,10 +485,13 @@ def test_level1_cache_across_threads(empty_level1):
     assert heckescan.modforms._level1_cache[0] == 96
 
 
-def test_delta_is_q_times_the_cached_delta_over_q(empty_level1):
-    # one implementation of Delta: a planted Delta/q shows through delta
-    e4, e6, _, qj = fresh_level1(2)
-    heckescan.modforms._level1_cache = (2, e4, e6, IntSeries([1, 5, 7]), qj)
+def test_delta_is_q_times_the_delta_over_q_recurrence(monkeypatch):
+    # one implementation of Delta: a planted recurrence shows through delta
+    def planted(e, prec):
+        assert (e, prec) == (1, 2)
+        return IntSeries([1, 5, 7])
+
+    monkeypatch.setattr(heckescan.modforms, "_delta_q_power", planted)
     assert delta(3).coeffs == (0, 1, 5, 7)
 
 

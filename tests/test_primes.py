@@ -9,7 +9,6 @@ from heckescan.primes import (
     primorial_row,
     sieve,
     smallest_nondivisor_prime,
-    theta,
 )
 
 
@@ -61,25 +60,30 @@ def test_sieve_membership_matches_trial_division(table_10k):
         assert (n in members) == is_prime_trial(n), n
 
 
-def test_theta_empty_sum(table_10k):
-    assert theta(1, table_10k) == 0
-    assert theta(1.9, table_10k) == 0
+def test_theta_empty_sum():
+    # the prefix sums start from the empty sum: the first is log 2 alone,
+    # rounded once at THETA_BITS
+    with mpmath.workprec(THETA_BITS):
+        assert sieve(2).theta_prefix == (mpmath.log(2),)
 
 
 def test_theta_at_10_is_log_210(table_10k):
     with mpmath.workprec(THETA_BITS):
         want = mpmath.log(210)
-        assert abs(theta(10, table_10k) - want) < mpmath.mpf(2) ** -80
+        assert abs(table_10k.theta_prefix[3] - want) < mpmath.mpf(2) ** -80
 
 
 def test_theta_includes_boundary_prime(table_10k):
-    assert theta(7, table_10k) == theta(10, table_10k)
-    assert theta(6.999, table_10k) < theta(7, table_10k)
+    # a table whose limit is the prime 7 sums log 7 too, bit for bit as a
+    # longer table does
+    assert sieve(7).theta_prefix[-1] == table_10k.theta_prefix[3]
+    assert sieve(6).theta_prefix[-1] == table_10k.theta_prefix[2]
 
 
 def test_theta_beyond_limit(table_10k):
-    with pytest.raises(ValueError):
-        theta(10001, table_10k)
+    # one sum per prime of the table, none past its limit
+    assert len(table_10k.theta_prefix) == len(table_10k.primes) == 1229
+    assert len(sieve(10).theta_prefix) == 4
 
 
 def test_theta_jumps_by_log_p(table_10k):
@@ -165,13 +169,6 @@ def test_exp_theta_matches_exact_primorial(table_10k):
             n *= table_10k.primes[k - 1]
             approx = mpmath.exp(table_10k.theta_prefix[k - 1])
             assert abs(approx / n - 1) < mpmath.mpf(2) ** -70, k
-
-
-def test_theta_accepts_fraction_argument(table_10k):
-    from fractions import Fraction
-
-    assert theta(Fraction(19, 2), table_10k) == theta(9.5, table_10k)
-    assert float(theta(Fraction(7, 1), table_10k)) == pytest.approx(math.log(210))
 
 
 def test_smallest_nondivisor_pure_int_fallback(monkeypatch, table_10k):

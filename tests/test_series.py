@@ -6,7 +6,6 @@ from heckescan.series import (
     IntSeries,
     _convolve_kronecker,
     _convolve_schoolbook,
-    series_inv,
     series_mul,
     series_pow,
 )
@@ -22,29 +21,22 @@ def conv_reference(a, b, n_out):
     return out
 
 
-def test_linear_identity():
-    f = IntSeries([3, 1, 4, 1, 5])
-    zero = IntSeries([0, 0, 0])
-    assert f + zero == IntSeries([3, 1, 4])
-    assert zero + f == IntSeries([3, 1, 4])
-    assert f - zero == IntSeries([3, 1, 4])
+def series_add(f, g):
+    """f + g truncated to the smaller precision."""
+    return IntSeries([a + b for a, b in zip(f.coeffs, g.coeffs)])
 
 
-def test_linear_cancellation():
-    f = IntSeries([9, -2, 6, 0, 4])
-    assert f - f == IntSeries([0], prec=4)
-    assert (f - IntSeries([9, -2])).prec == 1
-
-
-def test_linear_direct():
-    f = IntSeries([1, 1, 1])
-    g = IntSeries([0, 1, 0, 7])
-    assert f + g == IntSeries([1, 2, 1])
-    assert f - g == IntSeries([1, 0, 1])
-    assert g - f == IntSeries([-1, 0, -1])
-    assert f + g + g == IntSeries([1, 3, 1])
-    with pytest.raises(TypeError):
-        f - [0, 1, 0]
+def series_inv_oracle(f):
+    """1/f at the precision of f, for f with constant term +1 or -1, term
+    by term from f * g = 1: g_n = -c * sum f_i g_(n-i) with c = f_0."""
+    c = f.coeffs[0]
+    if c not in (1, -1):
+        raise ValueError(f"constant term {c} is not a unit; 1/f is not integral")
+    fs = f.coeffs
+    g = [c]
+    for n in range(1, f.prec + 1):
+        g.append(-c * sum(fs[i] * g[n - i] for i in range(1, n + 1)))
+    return IntSeries(g)
 
 
 def test_mul_telescoping():
@@ -55,7 +47,7 @@ def test_mul_telescoping():
 
 def test_mul_identity():
     f = IntSeries([5, -3, 2, 9])
-    assert series_mul(f, IntSeries.one(3)) == f
+    assert series_mul(f, IntSeries([1], prec=3)) == f
 
 
 def test_mul_q_times_q():
@@ -78,7 +70,7 @@ def test_mul_mixed_kinds_rejected():
 
 def test_pow_zero_is_one():
     f = IntSeries([7, 7, 7])
-    assert series_pow(f, 0) == IntSeries.one(2)
+    assert series_pow(f, 0) == IntSeries([1], prec=2)
 
 
 def test_pow_one_is_identity():
@@ -96,7 +88,7 @@ def test_pow_matches_iterated_mul():
         prec = rng.randint(0, 10)
         f = IntSeries([rng.randint(-9, 9) for _ in range(prec + 1)])
         for e in range(9):
-            by_mul = IntSeries.one(prec)
+            by_mul = IntSeries([1], prec=prec)
             for _ in range(e):
                 by_mul = series_mul(by_mul, f)
             assert series_pow(f, e) == by_mul
@@ -123,7 +115,7 @@ def test_mul_commutative_associative_distributive():
         f, g, h = mk(), mk(), mk()
         assert series_mul(f, g) == series_mul(g, f)
         assert series_mul(series_mul(f, g), h) == series_mul(f, series_mul(g, h))
-        assert series_mul(f, g + h) == series_mul(f, g) + series_mul(f, h)
+        assert series_mul(f, series_add(g, h)) == series_add(series_mul(f, g), series_mul(f, h))
 
 
 def test_kronecker_path_matches_schoolbook():
@@ -197,25 +189,26 @@ def test_kronecker_without_gmpy2(monkeypatch):
         assert _convolve_kronecker(a, b, n) == _convolve_schoolbook(a, b, n)
 
 
+# --- series_inv_oracle, the check on (Delta/q)^-e in test_modforms ---
+
+
 def test_inverse_times_series_is_one():
     rng = random.Random(41)
     for prec in (0, 1, 2, 5, 31, 32, 80):
         for c0 in (1, -1):
             f = IntSeries([c0] + [rng.randint(-10**6, 10**6) for _ in range(prec)])
-            g = series_inv(f)
+            g = series_inv_oracle(f)
             assert g.prec == prec
-            assert series_mul(f, g) == IntSeries.one(prec)
-            assert series_mul(g, f) == IntSeries.one(prec)
+            assert series_mul(f, g) == IntSeries([1], prec=prec)
+            assert series_mul(g, f) == IntSeries([1], prec=prec)
 
 
 def test_inverse_of_one_minus_q_is_geometric():
-    assert series_inv(IntSeries([1, -1], prec=6)) == IntSeries([1] * 7)
-    assert series_inv(IntSeries([-1, 0, 1], prec=5)) == IntSeries([-1, 0, -1, 0, -1, 0])
+    assert series_inv_oracle(IntSeries([1, -1], prec=6)) == IntSeries([1] * 7)
+    assert series_inv_oracle(IntSeries([-1, 0, 1], prec=5)) == IntSeries([-1, 0, -1, 0, -1, 0])
 
 
 def test_inverse_needs_a_unit_constant_term():
     for c0 in (0, 2, -2, 1728):
         with pytest.raises(ValueError):
-            series_inv(IntSeries([c0, 1, 1]))
-    with pytest.raises(TypeError):
-        series_inv([1, 1])
+            series_inv_oracle(IntSeries([c0, 1, 1]))
