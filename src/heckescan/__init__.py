@@ -18,7 +18,6 @@ from .hecke import (
     check_irreducible,
     distinguish,
     eigenform_coeffs,
-    t2_coefficient,
     t2_matrix,
     trace_t2,
 )

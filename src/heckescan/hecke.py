@@ -1,8 +1,9 @@
 """The T2 Hecke action on the weight-k cusp space.
 
-Everything is exact integer arithmetic on the echelon basis: the
-coefficient formula a_{2j}(f) + 2^(k-1) a_{j/2}(f), the trace, the full
-matrix, its characteristic polynomial (a Krylov system solved by p-adic
+Everything is exact integer arithmetic on the echelon basis, whose
+columns come from the one back-substitution of modforms._echelon_columns:
+the trace and the full matrix of a_j(T2 f) = a_{2j}(f) + 2^(k-1) a_{j/2}(f),
+its characteristic polynomial (a Krylov system solved by p-adic
 lifting), an irreducibility certificate from factor-degree sets mod
 primes, eigenform coefficients for the one-dimensional spaces, and the
 search for the first Fourier coefficient separating two coefficient
@@ -15,28 +16,9 @@ import decimal
 from dataclasses import dataclass
 from operator import mul
 
-from .modforms import _j_chain, dim_cusp, miller_basis
+from .modforms import _echelon_columns, _j_chain, dim_cusp, miller_basis
 from .primes import primes_above
-from .series import IntSeries, _int_convolve
-
-
-def t2_coefficient(f, j, k):
-    """Coefficient of q^j in T2 f for f of weight k:
-    a_{2j}(f) + 2^(k-1) a_{j/2}(f), the second term only for even j.
-
-    The series must carry at least 2j coefficients; running short is an
-    error, never a silent zero.
-    """
-    if not isinstance(f, IntSeries):
-        raise TypeError("IntSeries expected")
-    if j < 1:
-        raise ValueError("coefficient index must be positive")
-    if f.prec < 2 * j:
-        raise ValueError(f"need precision >= {2 * j} for the q^{j} coefficient of T2 f, have {f.prec}")
-    value = f[2 * j]
-    if j % 2 == 0:
-        value += (1 << (k - 1)) * f[j // 2]
-    return value
+from .series import _int_convolve
 
 
 def trace_t2(k):
@@ -45,37 +27,26 @@ def trace_t2(k):
 
     On the echelon basis the diagonal entry of T2 at f_j is a_(2j)(f_j):
     the 2^(k-1) a_(j/2)(f_j) term is 0, and so is a_(2j)(f_j) for 2j <= d.
-    The trace is therefore the sum of a_(2j)(f_j) over j > d/2, and only
-    the upper half of the basis is read, each row only at q^(2j) and at
-    the positions above its diagonal.  Back-substitution subtracts
-    r_i[m] * f_m for the raw coefficient r_i[m] of row i at every m in
-    i+1..d, since the forms f_m below are already echelon, so
-    a_n(f_i) = r_i[n] - sum_(m > i) r_i[m] a_n(f_m), needed only at even
-    n in (d, 2d] and for i >= n/2.  Row i = q^i * g_(d-i) is read through
-    q^(2i), so the chain runs only to g_(ceil(d/2)-1), g_m at precision
-    d - m.
+    The trace is therefore the sum of a_(2j)(f_j) over j > d/2, the last
+    entry of each column _echelon_columns returns at the even positions in
+    (d, 2d].  Only the upper half of the basis is read: column 2j stops at
+    row j, and row i = q^i * g_(d-i) is read through q^(2i), so the chain
+    runs only to g_(ceil(d/2)-1), g_m at precision d - m.
     """
     d = dim_cusp(k)
     if d == 0:
         return (0, 0)
     low = d // 2 + 1
-    # cols[j - low] holds a_(2j)(f_i) for i = d, d-1, ... down to the last
-    # row reduced
-    cols = [[] for _ in range(low, d + 1)]
-    trace = 0
-    for m, g in enumerate(_j_chain(k, d, range(d, low - 1, -1))):
-        i = d - m  # raw row i is q^i * g, so r_i[n] = g[n - i]
-        above = g[m:0:-1]  # r_i[d], r_i[d-1], ..., r_i[i+1]
-        for n, col in zip(range(2 * low - i, i + 1, 2), cols):
-            col.append(g[n] - sum(map(mul, above, col)))
-        trace += cols[i - low][-1]
-    return (d, trace)
+    chain = _j_chain(k, d, range(d, low - 1, -1))
+    cols = _echelon_columns(chain, d, range(2 * low, 2 * d + 1, 2))
+    return (d, sum(col[-1] for col in cols))
 
 
 @dataclass(frozen=True)
 class T2Matrix:
-    """Matrix of T2 in the echelon basis: column i holds the coordinates
-    of T2 f_(i+1), which on an echelon basis are plain coefficient reads."""
+    """Matrix of T2 in the echelon basis: entries[j - 1][i - 1] is
+    a_j(T2 f_i) = a_(2j)(f_i) + 2^(k-1) a_(j/2)(f_i) (the second term only
+    for even j), so column i - 1 holds the coordinates of T2 f_i."""
 
     weight: int
     dim: int
@@ -87,15 +58,19 @@ class T2Matrix:
 
 
 def t2_matrix(k):
+    """T2 in the echelon basis.  Row j reads a_(2j) from the unit head
+    for 2j <= d and from echelon column 2j above it; a_(j/2)(f_i) is 1 at
+    i = j/2 and 0 elsewhere, so 2^(k-1) lands on that one entry."""
     d = dim_cusp(k)
     if d == 0:
         return T2Matrix(k, 0, ())
-    basis = miller_basis(k, 2 * d)
-    rows = tuple(
-        tuple(t2_coefficient(basis.form(i + 1), j + 1, k) for i in range(d))
-        for j in range(d)
-    )
-    return T2Matrix(k, d, rows)
+    low = d // 2 + 1
+    cols = _echelon_columns(_j_chain(k, d, [2 * d - 1] * d), d, range(2 * low, 2 * d + 1, 2))
+    rows = [[int(i == 2 * j) for i in range(1, d + 1)] for j in range(1, low)]
+    rows += [col[::-1] for col in cols]
+    for j in range(2, d + 1, 2):
+        rows[j - 1][j // 2 - 1] += 1 << (k - 1)
+    return T2Matrix(k, d, tuple(map(tuple, rows)))
 
 
 def _decimal(n):

@@ -19,6 +19,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .series import IntSeries, series_mul, series_pow
 
@@ -187,10 +188,11 @@ def miller_basis(k, prec=None):
     comes from the power recurrence of _delta_q_power, not from series
     products.  D has constant term 1, so 1/D is an integer series
     (prod (1 - q^n)^-24, from the same recurrence) and every g_m stays
-    integral.  The rows are then reduced above the diagonal by integer
-    back-substitution, so integrality never has to be cleared.  The
-    chain runs at precision prec - 1, all that row 1 (the one that needs
-    most) reads after its own shift by q.
+    integral.  Form f_r is the unit head q^r followed by the entries of
+    the columns d+1..prec that _echelon_columns reduces from the rows, so
+    integrality never has to be cleared.  The chain runs at precision
+    prec - 1, all that row 1 (the one that needs most) reads after its
+    own shift by q.
     """
     if k % 2 != 0:
         raise ValueError(f"weight must be even, got {k}")
@@ -202,23 +204,11 @@ def miller_basis(k, prec=None):
     if d == 0:
         return MillerBasis(k, 0, ())
 
-    # rows d, d-1, ..., 1 from g_0, g_1, ..., g_(d-1), row r through q^prec
-    chain = _j_chain(k, d, [prec - 1] * d)
-    raw = [[0] * (d - m) + list(g[: prec + 1 - d + m]) for m, g in enumerate(chain)]
-    raw.reverse()
-
-    # Back-substitute: rows below are already final when row j is reduced,
-    # and each reaches as far as row j.
-    for j in range(d - 2, -1, -1):
-        row = raw[j]
-        for i in range(j + 1, d):
-            c = row[i + 1]
-            if c:
-                fi = raw[i]
-                for n in range(i + 1, len(row)):
-                    row[n] -= c * fi[n]
-
-    forms = tuple(IntSeries(row) for row in raw)
+    cols = _echelon_columns(_j_chain(k, d, [prec - 1] * d), d, range(d + 1, prec + 1))
+    forms = tuple(
+        IntSeries([0] * r + [1] + [0] * (d - r) + [col[d - r] for col in cols])
+        for r in range(1, d + 1)
+    )
     basis = MillerBasis(k, d, forms)
     basis.validate()
     return basis
@@ -250,3 +240,30 @@ def _j_chain(k, d, precs):
         if g[0] != 1:
             raise ArithmeticError(f"leading coefficient of span form {d - m} is {g[0]}")
         yield g.coeffs
+
+
+def _echelon_columns(chain, d, positions):
+    """Column n of the echelon basis for each of the increasing positions
+    n > d: [a_n(f_d), a_n(f_(d-1)), ...], read from the raw rows
+    q^d * g_0, q^(d-1) * g_1, ... of chain (the coefficients _j_chain
+    yields).
+
+    The rows are lower triangular with unit diagonal, and f_i is raw row
+    i minus r_i[m] * f_m for every m in i+1..d, with r_i[m] the raw
+    coefficient itself, because every f_m below is already echelon.  So
+    a_n(f_i) = r_i[n] - sum_(m > i) r_i[m] a_n(f_m), an integer
+    back-substitution that never divides.  Each column stops at the last
+    row that reaches q^n: series_mul cuts every product to its shorter
+    operand, so each row of the chain reaches less far than the row above
+    it, a column once stopped stays stopped, and a column still open holds
+    one entry for every row above.
+    """
+    cols = [[] for _ in positions]
+    for m, g in enumerate(chain):
+        i = d - m  # raw row i is q^i * g, so r_i[n] = g[n - i]
+        above = g[m:0:-1]  # r_i[d], r_i[d-1], ..., r_i[i+1]
+        for n, col in zip(positions, cols):
+            if n - i >= len(g):
+                break
+            col.append(g[n - i] - sum(map(mul, above, col)))
+    return cols

@@ -12,7 +12,6 @@ from heckescan.hecke import (
     check_irreducible,
     distinguish,
     eigenform_coeffs,
-    t2_coefficient,
     t2_matrix,
     trace_t2,
     _deflate,
@@ -23,7 +22,8 @@ from heckescan.hecke import (
     _pm_mulmod,
     _pm_rem,
 )
-from heckescan.modforms import delta, miller_basis
+from heckescan.modforms import delta, dim_cusp, miller_basis
+from test_modforms import spanning_set_echelon
 
 # frozen by the eta-product / divisor-sum oracle run before the build
 A2_BY_WEIGHT = {12: -24, 16: 216, 18: -528, 20: 456, 22: -288, 26: -48}
@@ -32,24 +32,46 @@ EIGEN16 = (1, 216, -3348, 13888, 52110, -723168)
 ONE_DIM_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
 
+# --- the T2 coefficient oracle ------------------------------------------
+
+
+def t2_coefficient(a, j, k):
+    """Coefficient of q^j in T2 f for f of weight k with coefficients
+    a = (a_0, a_1, ...): a_{2j}(f) + 2^(k-1) a_{j/2}(f), the second term
+    only for even j, read straight off the sequence.  Running short of
+    q^(2j) is an error, never a silent zero."""
+    if len(a) <= 2 * j:
+        raise ValueError(f"need precision >= {2 * j} for the q^{j} coefficient, have {len(a) - 1}")
+    value = a[2 * j]
+    if j % 2 == 0:
+        value += (1 << (k - 1)) * a[j // 2]
+    return value
+
+
+def t2_matrix_oracle(forms, k):
+    """entries[j - 1][i - 1] = t2_coefficient(f_i, j, k) for the basis
+    forms f_1, ..., f_d given as coefficient sequences."""
+    return tuple(tuple(t2_coefficient(f, j, k) for f in forms) for j in range(1, len(forms) + 1))
+
+
 def test_t2_coefficient_odd_index():
-    assert t2_coefficient(delta(2), 1, 12) == -24
+    assert t2_coefficient(delta(2).coeffs, 1, 12) == -24
 
 
 def test_t2_coefficient_even_index_adds_weight_term():
     # a_4 + 2^11 a_1 = -1472 + 2048
-    assert t2_coefficient(delta(4), 2, 12) == 576
+    assert t2_coefficient(delta(4).coeffs, 2, 12) == 576
     assert 576 == (-24) ** 2  # the square relation at p = 2
 
 
 def test_t2_coefficient_j1_is_a2():
     f = miller_basis(16, 2).form(1)
-    assert t2_coefficient(f, 1, 16) == f[2]
+    assert t2_coefficient(f.coeffs, 1, 16) == f[2]
 
 
 def test_t2_coefficient_requires_precision():
     with pytest.raises(ValueError, match="precision"):
-        t2_coefficient(delta(3), 2, 12)
+        t2_coefficient(delta(3).coeffs, 2, 12)
 
 
 def test_trace_golden_values():
@@ -78,6 +100,18 @@ def test_matrix_empty_space():
     m = t2_matrix(2)
     assert m.dim == 0
     assert m.entries == ()
+
+
+def test_matrix_equals_the_coefficient_reads_of_the_basis():
+    # t2_matrix reads a_(2j) from echelon columns and places the
+    # 2^(k-1) a_(j/2) term itself; the oracle reads both off whole forms,
+    # of miller_basis to 300 and of the rational elimination to 96
+    for k in range(2, 301, 2):
+        forms = [f.coeffs for f in miller_basis(k).forms]
+        assert t2_matrix(k).entries == t2_matrix_oracle(forms, k), k
+    for k in range(12, 97, 2):
+        rows = spanning_set_echelon(k, 2 * dim_cusp(k))
+        assert t2_matrix(k).entries == t2_matrix_oracle(rows, k), k
 
 
 def test_charpoly_weight_12():
@@ -264,10 +298,11 @@ def test_trace_matches_eichler_selberg_formula_to_600():
 
 def test_staircase_trace_equals_the_full_basis_trace_to_300():
     # trace_t2 reads the upper half of the raw rows from a chain cut at
-    # q^(d-m), t2_matrix the full basis of miller_basis
+    # q^(d-m), the oracle matrix the full basis of miller_basis
     for k in range(2, 301, 2):
-        m = t2_matrix(k)
-        assert trace_t2(k) == (m.dim, m.trace), k
+        forms = [f.coeffs for f in miller_basis(k).forms]
+        m = t2_matrix_oracle(forms, k)
+        assert trace_t2(k) == (len(forms), sum(m[i][i] for i in range(len(forms)))), k
 
 
 def test_trace_matrix_charpoly_agree_sampled_to_600():

@@ -14,6 +14,7 @@ from heckescan.modforms import (
     miller_basis,
     _EIS_MONOMIAL,
     _delta_q_power,
+    _echelon_columns,
     _j_chain,
     _level1,
 )
@@ -358,6 +359,22 @@ def test_trace_rows_are_the_basis_rows_through_q_2r():
                 for n, c in enumerate(forms[m - 1].coeffs[: 2 * r + 1]):
                     want[n] += row[m] * c
             assert row == tuple(want), (k, r)
+
+
+def test_trace_columns_are_the_basis_coefficients_to_200():
+    # column 2j of the trace's chain runs from row d down to row j, and
+    # every entry is a coefficient of the full basis, not only the last
+    for k in range(12, 201, 2):
+        d = dim_cusp(k)
+        if d == 0:
+            continue
+        low = d // 2 + 1
+        forms = miller_basis(k).forms
+        positions = range(2 * low, 2 * d + 1, 2)
+        cols = _echelon_columns(_j_chain(k, d, range(d, low - 1, -1)), d, positions)
+        assert len(cols) == len(positions), k
+        for n, col in zip(positions, cols):
+            assert col == [forms[i - 1][n] for i in range(d, n // 2 - 1, -1)], (k, n)
 
 
 def test_trace_makes_one_chain_product_per_row_below_the_top(monkeypatch):
