@@ -13,12 +13,14 @@ sequences.
 from __future__ import annotations
 
 import decimal
+import math
+import sys
+from array import array
 from dataclasses import dataclass
 from operator import mul
 
 from .modforms import _echelon_columns, _j_chain, dim_cusp, miller_basis
 from .primes import primes_above
-from .series import _int_convolve
 
 
 def trace_t2(k):
@@ -114,8 +116,9 @@ class CharPoly:
 
 
 # Moduli for the p-adic lifting: Mersenne primes, so none needs a
-# primality test.  A Krylov matrix singular modulo one is tried at the next.
-_LIFT_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+# primality test, largest first, so each Dixon digit carries the most bits.
+# A Krylov matrix singular modulo one is tried at the next.
+_LIFT_PRIMES = (2**127 - 1, 2**107 - 1, 2**89 - 1, 2**61 - 1)
 
 
 def charpoly_t2(k, matrix=None):
@@ -153,6 +156,10 @@ def charpoly_t2(k, matrix=None):
     else:
         raise ArithmeticError("Krylov matrix of e_1 is singular modulo every lifting prime")
     bound = (max(sum(map(abs, row)) for row in rows) + 1) ** d
+    # each digit K^-1 r mod p is sum_j (r_j mod p) * column j, packed: the
+    # windows sum d products of residues, below d (p - 1)^2
+    nb = _window(d * (p - 1) ** 2)
+    inverse_cols = [_pack(col, nb) for col in zip(*inverse)]
     digits = []
     reach = 1  # p^len(digits): the solution must be found while reach <= 2 * bound
     half = p // 2
@@ -161,9 +168,8 @@ def charpoly_t2(k, matrix=None):
             raise ArithmeticError(
                 f"p-adic lifting exceeded the coefficient bound after {len(digits)} digits"
             )
-        r_mod = [v % p for v in r]
-        x = [sum(map(mul, row, r_mod)) % p for row in inverse]
-        x = [v - p if v > half else v for v in x]
+        x = _unpack(sum(v % p * col for v, col in zip(r, inverse_cols)), nb, d)
+        x = [v - p if v > half else v for v in (v % p for v in x)]
         nxt = []
         for v, row in zip(r, krylov):
             q, rem = divmod(v - sum(map(mul, row, x)), p)
@@ -181,22 +187,37 @@ def charpoly_t2(k, matrix=None):
 
 def _inverse_mod_p(m, p):
     """Inverse of the square matrix m modulo the prime p by Gauss-Jordan
-    elimination, as a list of rows; None when m is singular mod p."""
+    elimination, as a list of rows; None when m is singular mod p.
+
+    Each row of [m | I] is one packed int, window 0 holding the column
+    being cleared: a cleared column is shifted off every row, so after n
+    steps the rows hold the inverse.  Clearing a column from a row adds
+    (p - f) times the pivot row, f the row's entry there reduced mod p,
+    and the pivot row was reduced when it became the pivot, so each
+    addition raises a window by at most (p - 1)^2.  A row takes at most
+    n additions before it is reduced, as the pivot or at the end, so no
+    window exceeds p + n (p - 1)^2.
+    """
     n = len(m)
-    work = [[v % p for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    nb = _window(p + n * (p - 1) ** 2)
+    w = 8 * nb
+    mask = (1 << w) - 1
+    rows = [_pack([v % p for v in row] + [int(i == j) for j in range(n)], nb) for i, row in enumerate(m)]
     for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col]), None)
+        pivot = next((i for i in range(col, n) if (rows[i] & mask) % p), None)
         if pivot is None:
             return None
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], -1, p)
-        prow = [v * inv % p for v in work[col]]
-        work[col] = prow
-        for i in range(n):
-            f = work[i][col]
-            if i != col and f:
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], prow)]
-    return [row[n:] for row in work]
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        prow = [v % p for v in _unpack(rows[col], nb, 2 * n - col)]
+        inv = pow(prow[0], -1, p)
+        top = _pack([v * inv % p for v in prow], nb)
+        for i, row in enumerate(rows):
+            f = (row & mask) % p
+            if f and i != col:
+                row += (p - f) * top
+            rows[i] = row >> w
+        rows[col] = top >> w
+    return [[v % p for v in _unpack(row, nb, n)] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -284,9 +305,20 @@ def _monic_int_coeffs(poly):
     return cs
 
 
+# For every candidate root r in -100..100, r, r - 1 and r + 1 lie in
+# -101..101, so they divide this: the residues of f(0), f(1) and f(-1)
+# modulo it, taken once, answer all their divisibility tests.
+_LCM_TO_101 = math.lcm(*range(1, 102))
+
+
 def _integer_roots(coeffs):
     """Search small integer roots; on success return the factor degrees
-    (one per root found, plus the degree of the cofactor)."""
+    (one per root found, plus the degree of the cofactor).
+
+    An integer root r of f divides f(0), and r - s divides f(s) - f(r) =
+    f(s) for every integer s; so r - 1 divides f(1) and r + 1 divides
+    f(-1).  Only candidates passing these tests are evaluated exactly.
+    """
     candidates = set(range(-100, 101))
     a0 = coeffs[-1]
     if a0 == 0:
@@ -301,11 +333,17 @@ def _integer_roots(coeffs):
             f += 1
     work = list(coeffs)
     degrees = []
+    f0, f1, fm1 = (_eval_int(work, s) % _LCM_TO_101 for s in (0, 1, -1))
     for r in sorted(candidates, key=abs):
-        # an integer root divides the constant term (rational root theorem)
-        while len(work) > 1 and not (r and work[-1] % r) and _eval_int(work, r) == 0:
+        if abs(r) <= 100:
+            if (r and f0 % r) or (r != 1 and f1 % (1 - r)) or (r != -1 and fm1 % (-1 - r)):
+                continue
+        elif work[-1] % r:
+            continue
+        while len(work) > 1 and _eval_int(work, r) == 0:
             work = _deflate(work, r)
             degrees.append(1)
+            f0, f1, fm1 = (_eval_int(work, s) % _LCM_TO_101 for s in (0, 1, -1))
     if not degrees:
         return None
     if len(work) > 1:
@@ -330,40 +368,126 @@ def _deflate(coeffs, r):
 # --- polynomials mod q ----------------------------------------------------
 #
 # Ascending coefficient lists over the integers mod q, trimmed of zero
-# leading terms ([] is the zero polynomial); moduli f are monic.
+# leading terms ([] is the zero polynomial); moduli f are monic.  The
+# products run packed: a list of residues is one Python int of
+# fixed-width byte windows (Kronecker substitution), so a product, a
+# matrix-vector product or a row operation is one big-integer operation,
+# and the windows are reduced mod q once, on unpacking (Dumas, Fousse and
+# Salvy, J. Symb. Comput. 46, 2011).  Each window width comes from a
+# bound on every sum its windows accumulate, stated where it is chosen.
+
+# Window widths memoryview.cast reads in one step, by their byte counts:
+# native unsigned formats, on a little-endian host only.
+_CAST = {array(c).itemsize: c for c in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _window(bound):
+    """Bytes per window holding every integer 0..bound: the whole bytes
+    it needs, rounded up to a width memoryview.cast reads when one fits."""
+    need = (bound.bit_length() + 7) // 8
+    return min((s for s in _CAST if s >= need), default=need)
+
+
+def _pack(cs, nb):
+    """The nonnegative integers cs, each below 256^nb, as one int with
+    cs[i] in window i (bytes i*nb .. (i+1)*nb - 1, little-endian)."""
+    code = _CAST.get(nb)
+    if code:
+        return int.from_bytes(array(code, cs), "little")
+    return int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in cs]), "little")
+
+
+def _unpack(x, nb, n):
+    """Windows 0..n-1 of the nonnegative int x, as a list."""
+    data = x.to_bytes(max(n * nb, (x.bit_length() + 7) // 8), "little")[: n * nb]
+    code = _CAST.get(nb)
+    if code:
+        return memoryview(data).cast(code).tolist()
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i : i + nb], "little") for i in range(0, n * nb, nb)]
+
+
+def _barrett(f, q):
+    """(nb, rem) for the monic f of degree d >= 1 mod the prime q: rem
+    takes a packed polynomial a of at most 2d windows of nb bytes, each at
+    most d (q - 1)^2, to its remainder mod f, reduced mod q, as a list of
+    d residues.
+
+    rem is Barrett's remainder (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 9.1): the quotient of a by f reversed is
+    rev(a) rev(f)^-1 mod x^d, and the remainder is a + quotient * (-f)
+    mod x^d, both read from unreduced windows: every step is a ring
+    operation, so reducing mod q once at the end gives the same residues.
+    rev(f)^-1 mod x^d is built once, by Newton's iteration
+    g <- g (2 - rev(f) g), which doubles the number of correct terms each
+    round; it is packed reversed, so the quotient sits in windows
+    d-1 .. 2d-2 of one product with the top half of a.
+
+    nb holds d^2 (q - 1)^3 + 2 d (q - 1)^2, which bounds every window
+    here and in the certificate.  A product of two lists of at most d
+    residues sums at most d terms below (q - 1)^2 per window; the quotient
+    sums d products of such a window with a residue, below d^2 (q - 1)^3;
+    once reduced, its product with -f adds at most d (q - 1)^2 to a
+    window of a.
+    """
+    d = len(f) - 1
+    nb = _window(d**2 * (q - 1) ** 3 + 2 * d * (q - 1) ** 2)
+    w = 8 * nb
+    rev_f = f[:0:-1]  # rev(f) mod x^d
+    g = [1]
+    m = 1
+    while m < d:
+        m = min(2 * m, d)
+        e = [-c % q for c in _unpack(_pack(rev_f[:m], nb) * _pack(g, nb), nb, m)]
+        e[0] = (e[0] + 2) % q
+        g = [c % q for c in _unpack(_pack(g, nb) * _pack(e, nb), nb, m)]
+    inverse = _pack(g[::-1], nb)
+    minus_f = _pack([-c % q for c in f[:d]], nb)
+    low = (1 << (w * d)) - 1
+
+    def rem(a):
+        quotient = [c % q for c in _unpack((a >> (w * d)) * inverse >> (w * (d - 1)), nb, d)]
+        return [c % q for c in _unpack((a & low) + _pack(quotient, nb) * minus_f, nb, d)]
+
+    return nb, rem
 
 
 def _factor_degrees_mod_q(f, q):
     """Degrees of the irreducible factors of the monic f mod q, ascending,
     by distinct-degree factorization; None when f is not squarefree mod q.
 
-    Step i takes h = x^(q^i) mod f to x^(q^(i+1)) by one product with the
-    Frobenius matrix (rows x^(q*j) mod f, built from a single x^q).  As f
-    is squarefree, gcd(h - x, f) is the product of its factors of degree
+    x^q mod f comes from packed squarings (a multiplication by x is a
+    shift by one window) and the Frobenius rows x^(q*j) mod f from one
+    packed product with x^q each, all reduced by _barrett's remainder.
+    Step i takes h = x^(q^i) mod f to x^(q^(i+1)) = sum_j h_j x^(q*j) by
+    one packed matrix-vector product with those rows.  As f is
+    squarefree, gcd(h - x, f) is the product of its factors of degree
     dividing i: deg gcd, less the degrees found so far that divide i, is
     i times the number of degree-i factors, and no factor is divided out.
     """
     d = len(f) - 1
-    if len(_pm_gcd(_pm_trim([i * c % q for i, c in enumerate(f)][1:]), f, q)) > 1:
+    if len(_pm_gcd(f, [i * c % q for i, c in enumerate(f)][1:], q)) > 1:
         return None
-    xq = _pm_xpow(q, f, q)
-    row = [1]
-    rows = []
-    for _ in range(d):
-        rows.append(row + [0] * (d - len(row)))
-        row = _pm_mulmod(row, xq, f, q)
-    frobenius = list(zip(*rows))  # column t holds coefficient t of each row
+    nb, rem = _barrett(f, q)
+    w = 8 * nb
+    xq = [1]
+    for bit in bin(q)[2:]:
+        x = _pack(xq, nb)
+        xq = rem(x * x << w if bit == "1" else x * x)
+    xq = _pack(xq, nb)
+    rows = [1]  # x^(q*j) mod f, packed, from x^0
+    for _ in range(d - 1):
+        rows.append(_pack(rem(rows[-1] * xq), nb))
     h = [0, 1]
     left = d
     degrees = []
     i = 0
     while 2 * (i + 1) <= left:
         i += 1
-        h = [sum(map(mul, h, col)) % q for col in frobenius]
+        h = [c % q for c in _unpack(sum(map(mul, h, rows)), nb, d)]
         h_minus_x = list(h)
         h_minus_x[1] = (h_minus_x[1] - 1) % q
-        g = _pm_gcd(_pm_trim(h_minus_x), f, q)
-        found = len(g) - 1 - sum(j for j in degrees if i % j == 0)
+        found = len(_pm_gcd(f, h_minus_x, q)) - 1 - sum(j for j in degrees if i % j == 0)
         degrees += [i] * (found // i)
         left -= found
     if left:
@@ -377,44 +501,24 @@ def _pm_trim(a):
     return a
 
 
-def _pm_rem(a, f, q):
-    """a mod the monic f, reduced mod q; a may hold unreduced integers."""
-    a = list(a)
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] % q
-        if c:
-            off = i - df
-            for j in range(df):
-                a[off + j] -= c * f[j]
-    return _pm_trim([c % q for c in a[:df]])
-
-
-def _pm_mulmod(a, b, f, q):
-    """a * b mod f, reduced mod q, on the series layer's product."""
-    return _pm_rem(_int_convolve(a, b, len(a) + len(b) - 1), f, q)
-
-
-def _pm_xpow(e, f, q):
-    """x^e mod f, left to right: square, and multiply by x as a shift."""
-    result = [1]
-    for bit in bin(e)[2:]:
-        result = _pm_mulmod(result, result, f, q)
-        if bit == "1":
-            result = _pm_rem([0] + result, f, q)
-    return result
-
-
 def _pm_gcd(a, b, q):
-    """Monic gcd of a and b mod q (b nonzero)."""
+    """A gcd of a and b mod q by Euclid's algorithm with schoolbook
+    division; it is not made monic, as callers read only its degree.  The
+    divisor changes at every step, so a Barrett inverse would serve one
+    remainder only."""
     a = _pm_trim(list(a))
     b = _pm_trim(list(b))
     while b:
-        # make b monic, then reduce a by it
+        # reduce a by b, each quotient term scaled by b's leading inverse
         inv = pow(b[-1], -1, q)
-        b = [(c * inv) % q for c in b]
-        a = _pm_rem(a, b, q)
-        a, b = b, a
+        db = len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            c = a[i] * inv % q
+            if c:
+                off = i - db
+                for j in range(db):
+                    a[off + j] -= c * b[j]
+        a, b = b, _pm_trim([c % q for c in a[:db]])
     return a
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -14,13 +15,16 @@ from heckescan.hecke import (
     eigenform_coeffs,
     t2_matrix,
     trace_t2,
+    _LIFT_PRIMES,
+    _barrett,
     _deflate,
     _eval_int,
     _factor_degrees_mod_q,
     _integer_roots,
     _inverse_mod_p,
-    _pm_mulmod,
-    _pm_rem,
+    _pack,
+    _unpack,
+    _window,
 )
 from heckescan.modforms import delta, dim_cusp, miller_basis
 from test_modforms import spanning_set_echelon
@@ -217,11 +221,58 @@ def test_charpoly_against_faddeev_leverrier_to_300():
 
 
 def test_charpoly_falls_back_to_the_next_lifting_prime():
-    p = 2**61 - 1
+    p = _LIFT_PRIMES[0]
     m = T2Matrix(0, 2, ((3, 1), (p, 5)))
     # the Krylov matrix [e_1, A e_1] = [[1, 3], [0, p]] is singular mod p
     assert _inverse_mod_p(((1, 3), (0, p)), p) is None
+    assert _inverse_mod_p(((1, 3), (0, p)), _LIFT_PRIMES[1]) is not None
     assert charpoly_t2(0, matrix=m).coeffs == (1, -8, 15 - p)
+
+
+def _inverse_mod_p_scalar(m, p):
+    """Gauss-Jordan on lists, every entry reduced after every row
+    operation: the kernel _inverse_mod_p ran before it packed its rows,
+    kept as its oracle."""
+    n = len(m)
+    work = [[v % p for v in row] + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col]), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = pow(work[col][col], -1, p)
+        prow = [v * inv % p for v in work[col]]
+        work[col] = prow
+        for i in range(n):
+            f = work[i][col]
+            if i != col and f:
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], prow)]
+    return [row[n:] for row in work]
+
+
+@pytest.mark.parametrize("p", [2, 3, 331, *_LIFT_PRIMES])
+def test_packed_inverse_against_the_scalar_gauss_jordan(p):
+    # singular and invertible matrices, entries far beyond p and negative,
+    # and all p - 1 so that the windows of the rows grow as fast as they can
+    rng = random.Random(p)
+    kinds = set()
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        pick = rng.choice([
+            lambda: rng.randrange(p),
+            lambda: rng.choice([0, 0, 1, p - 1]),
+            lambda: rng.randint(-(10**40), 10**40),
+        ])
+        m = [[pick() for _ in range(n)] for _ in range(n)]
+        got = _inverse_mod_p(m, p)
+        assert got == _inverse_mod_p_scalar(m, p), (m, p)
+        kinds.add(got is None)
+    for n in (1, 5, 12):
+        # residues p - 1 and 1 only: additions of (p - 1) times a pivot
+        # row, with the windows far from reduced
+        m = [[p - 1 if j >= i else 1 for j in range(n)] for i in range(n)]
+        assert _inverse_mod_p(m, p) == _inverse_mod_p_scalar(m, p), (n, p)
+    assert kinds == {True, False}
 
 
 def test_charpoly_refuses_a_non_cyclic_first_vector():
@@ -377,10 +428,12 @@ def _integer_roots_unfiltered(coeffs):
 def test_integer_roots_match_the_unfiltered_search():
     rng = random.Random(18)
     kinds = set()
-    for _ in range(400):
+    for _ in range(600):
         # roots with repeats, zero among them, some beyond the +-100 window
-        roots = [rng.choice([0, 1, -1, 2, -3, 7, 97, -101, 1000, rng.randint(-60, 60)])
-                 for _ in range(rng.randint(0, 4))]
+        # and some next to its edge, up to six of them, so that the search
+        # deflates several times and filters the quotients
+        roots = [rng.choice([0, 1, -1, 2, -3, 7, 97, 100, -101, 1000, rng.randint(-60, 60)])
+                 for _ in range(rng.randint(0, 6))]
         poly = [1] + [rng.randint(-20, 20) for _ in range(rng.randint(0, 3))]
         for r in roots:
             poly = _int_poly_mul(poly, [1, -r])
@@ -389,8 +442,12 @@ def test_integer_roots_match_the_unfiltered_search():
         got = _integer_roots(poly)
         assert got == _integer_roots_unfiltered(poly), poly
         kinds.add((len(roots) > len(set(roots)), poly[-1] == 0, got is not None))
-    # repeated roots, a zero constant term and root-free inputs all occur
+        if got is not None:
+            kinds.add(("roots found", min(got.count(1), 3)))
+    # repeated roots, a zero constant term and root-free inputs all occur,
+    # and so do polynomials with two and with three or more integer roots
     assert {(True, True, True), (True, False, True), (False, False, False)} <= kinds
+    assert {("roots found", 2), ("roots found", 3)} <= kinds
 
 
 def _int_poly_mul(a, b):
@@ -498,8 +555,10 @@ def _pq_divmod(a, b, q):
     return quo, a[:db]
 
 
-# The schoolbook kernels the certificate ran on before it took the series
-# product, kept as the oracle for it.
+# The scalar kernels the certificate ran on before its products were
+# packed, kept as the oracle for the packed ones: a schoolbook product, a
+# long-division remainder, x^e by square-and-multiply, and the Frobenius
+# step entry by entry.
 
 
 def _schoolbook_rem(a, f, q):
@@ -526,6 +585,46 @@ def _schoolbook_mulmod(a, b, f, q):
     return _schoolbook_rem(out, f, q)
 
 
+def _schoolbook_xpow(e, f, q):
+    """x^e mod f, left to right: square, and multiply by x as a shift."""
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _schoolbook_mulmod(result, result, f, q)
+        if bit == "1":
+            result = _schoolbook_rem([0] + result, f, q)
+    return result
+
+
+def _factor_degrees_scalar(f, q):
+    """_factor_degrees_mod_q on the scalar kernels, with the gcd degrees
+    from this file's own Euclid."""
+    d = len(f) - 1
+    if _pq_gcd_degree(f, [i * c % q for i, c in enumerate(f)][1:], q) > 0:
+        return None
+    xq = _schoolbook_xpow(q, f, q)
+    row = [1]
+    rows = []
+    for _ in range(d):
+        rows.append(row + [0] * (d - len(row)))
+        row = _schoolbook_mulmod(row, xq, f, q)
+    frobenius = list(zip(*rows))
+    h = [0, 1]
+    left = d
+    degrees = []
+    i = 0
+    while 2 * (i + 1) <= left:
+        i += 1
+        h = [sum(x * y for x, y in zip(h, col)) % q for col in frobenius]
+        h_minus_x = list(h)
+        h_minus_x[1] = (h_minus_x[1] - 1) % q
+        found = _pq_gcd_degree(f, h_minus_x, q) - sum(j for j in degrees if i % j == 0)
+        degrees += [i] * (found // i)
+        left -= found
+    if left:
+        degrees.append(left)
+    return tuple(degrees)
+
+
 def _trimmed(a):
     while a and a[-1] == 0:
         a.pop()
@@ -534,20 +633,92 @@ def _trimmed(a):
 
 @pytest.mark.parametrize("q", [2, 331, 2**61 - 1])
 def test_mod_q_kernels_against_the_schoolbook_oracle(q):
-    # 1..70 terms puts the products on both sides of _KRONECKER_MIN_TERMS
     rng = random.Random(q)
     for _ in range(80):
         f = [rng.randrange(q) for _ in range(rng.randint(1, 70))] + [1]
-        a, b = ([rng.randrange(q) for _ in range(rng.randint(1, 70))] for _ in range(2))
-        assert _pm_mulmod(a, b, f, q) == _schoolbook_mulmod(a, b, f, q), (a, b, f)
-        # unreduced integers and a zero tail, as a product hands them over
-        a_wide = [rng.randint(-(q**2), q**2) for _ in range(rng.randint(1, 70))]
-        a_wide += [0] * rng.randint(0, 3)
-        for a in (a, a_wide):
-            rem = _pm_rem(a, f, q)
-            assert rem == _schoolbook_rem(a, f, q), (a, f)
-            assert rem == _trimmed([c % q for c in _pq_divmod(a, f, q)[1]]), (a, f)
-            assert len(rem) < len(f)
+        d = len(f) - 1
+        nb, rem = _barrett(f, q)
+        a, b = ([rng.randrange(q) for _ in range(rng.randint(1, d))] for _ in range(2))
+        assert _unpack(_pack(a, nb), nb, len(a) + 2) == a + [0, 0]
+        assert _trimmed(rem(_pack(a, nb) * _pack(b, nb))) == _schoolbook_mulmod(a, b, f, q), (a, b, f)
+        # any 2d windows below the stated bound, as a product hands them over
+        a_wide = [rng.randint(0, d * (q - 1) ** 2 + q) for _ in range(rng.randint(1, 2 * d))]
+        r = rem(_pack(a_wide, nb))
+        assert len(r) == d
+        assert _trimmed(r) == _schoolbook_rem(a_wide, f, q), (a_wide, f)
+        assert _trimmed(r) == _trimmed([c % q for c in _pq_divmod(a_wide, f, q)[1]]), (a_wide, f)
+
+
+def _series_inverse(h, n, q):
+    """h^-1 mod x^n mod q for h[0] == 1, term by term."""
+    g = [1]
+    for i in range(1, n):
+        g.append(-sum(h[j] * g[i - j] for j in range(1, min(i, len(h) - 1) + 1)) % q)
+    return g
+
+
+@pytest.mark.parametrize("q", [2, 3, 331, 65537, 2**61 - 1])
+def test_windows_reach_their_bound_when_every_coefficient_is_q_minus_1(q):
+    for d in (1, 2, 7, 40):
+        full = [q - 1] * d
+        bound = d**2 * (q - 1) ** 3 + 2 * d * (q - 1) ** 2
+        # rev(f)^-1 mod x^d is 1 + (q - 1)(x + ... + x^(d-1)), as near all
+        # q - 1 as a monic f allows; then f = 1 + x + ... + x^d, whose
+        # -f is q - 1 in every window
+        target = [1] + full[1:]
+        h = _series_inverse(target, d, q)
+        for f in ([1] + h[::-1], [1] * (d + 1)):
+            nb, rem = _barrett(f, q)
+            assert bound < 256**nb
+            # a product of two all-(q - 1) lists peaks at d (q - 1)^2
+            product = _pack(full, nb) * _pack(full, nb)
+            assert max(_unpack(product, nb, 2 * d)) == d * (q - 1) ** 2
+            assert _trimmed(rem(product)) == _schoolbook_mulmod(full, full, f, q), (f, q)
+            # the largest input rem takes, d (q - 1)^2 in all 2d windows
+            top = [d * (q - 1) ** 2] * (2 * d)
+            assert _trimmed(rem(_pack(top, nb))) == _schoolbook_rem(top, f, q), (f, q)
+            if q < 2**61:
+                assert _factor_degrees_mod_q(f, q) == _factor_degrees_scalar(f, q), (f, q)
+        # with the first f the quotient's top window, the widest sum nb
+        # holds, is d (q - 1)^2 (1 + (d - 1)(q - 1)): the bound's first
+        # term but for the unit constant term of rev(f)^-1
+        assert _series_inverse(h, d, q) == target
+        nb = _barrett([1] + h[::-1], q)[0]
+        quotient = (_pack(top, nb) >> (8 * nb * d)) * _pack(target[::-1], nb) >> (8 * nb * (d - 1))
+        assert max(_unpack(quotient, nb, d)) == d * (q - 1) ** 2 * (1 + (d - 1) * (q - 1)) <= bound
+
+
+def test_window_widths_follow_their_bound():
+    assert [_window(b) for b in (1, 255, 256, 2**16, 2**32 - 1, 2**32, 2**64 - 1)] == [1, 1, 2, 4, 4, 8, 8]
+    # beyond the widest cast, whole bytes
+    assert _window(2**64) == 9 and _window(2**127) == 16 and _window(2**128) == 17
+    for nb in (1, 2, 4, 8, 9, 16):
+        top = 256**nb - 1
+        assert _unpack(_pack([top, 0, 1, top], nb), nb, 4) == [top, 0, 1, top]
+        assert _unpack(_pack([top, 5], nb) << 8 * nb, nb, 2) == [0, top]
+
+
+def test_packed_certificate_equals_the_scalar_route_on_2800_polynomials():
+    rng = random.Random(17)
+    primes = (2, 3, 5, 7, 11, 331, 2**61 - 1)
+    shapes = {q: set() for q in primes}
+    for i in range(2800):
+        q = primes[i % len(primes)]
+        if i % 5 == 0:
+            # a forced square factor g^2, so never squarefree mod q
+            d = rng.randint(2, 16)
+            e = rng.randint(1, d // 2)
+            g = [rng.randrange(q) for _ in range(e)] + [1]
+            f = _pq_mul(_pq_mul(g, g, q), [rng.randrange(q) for _ in range(d - 2 * e)] + [1], q)
+        else:
+            f = [rng.randrange(q) for _ in range(rng.randint(1, 16))] + [1]
+        got = _factor_degrees_mod_q(f, q)
+        assert got == _factor_degrees_scalar(f, q), (f, q)
+        if i % 5 == 0:
+            assert got is None, (f, q)
+        shapes[q].add(got if got is None else len(got) > 1)
+    # squarefree reductions, irreducible and split, and repeated factors at every q
+    assert all(found == {None, True, False} for found in shapes.values()), shapes
 
 
 def brute_force_factors_mod_q(f, q):
@@ -666,6 +837,24 @@ def test_verdicts_agree_with_single_witness_route_to_160():
         w = v.witness_prime
         fw = [c % w for c in asc]
         assert (_factor_degrees_mod_q(fw, w) == (d,)) == _irreducible_mod_q_oracle(fw, w), k
+
+
+# sha256 over (k, coeffs, kind, witness_prime, primes_tried) for every even
+# k <= 300 with a nonempty cusp space and the maeda benchmark's 320 and 340,
+# taken from the scalar Gauss-Jordan and certificate, with 2^61 - 1 the
+# first lifting prime
+VERDICT_DIGEST = "b9ff7d7f4fb3882b356587d663a093d410052e275fdd5756e2b2c3bf6a14cba8"
+
+
+def test_charpolys_and_verdicts_are_pinned():
+    digest = hashlib.sha256()
+    for k in [*range(2, 301, 2), 320, 340]:
+        poly = charpoly_t2(k)
+        if poly.degree == 0:
+            continue
+        v = check_irreducible(poly)
+        digest.update(repr((k, poly.coeffs, v.kind, v.witness_prime, v.primes_tried)).encode())
+    assert digest.hexdigest() == VERDICT_DIGEST
 
 
 # --- eigenforms and distinguishing ---------------------------------------

@@ -149,13 +149,39 @@ def test_schoolbook_matches_kronecker_on_truncated_products_with_zeros():
 
 
 def test_large_series_mul_uses_exact_arithmetic():
-    # forces the packed path end to end through the public surface
+    # forces the packed path end to end through the public surface: 100
+    # terms take it up to 200 bits a coefficient
     rng = random.Random(3)
-    a = [rng.randint(-(2**100), 2**100) for _ in range(40)]
-    b = [rng.randint(-(2**100), 2**100) for _ in range(40)]
+    a = [rng.randint(-(2**100), 2**100) for _ in range(100)]
+    b = [rng.randint(-(2**100), 2**100) for _ in range(100)]
     f = IntSeries(a)
     g = IntSeries(b)
-    assert list(series_mul(f, g).coeffs) == conv_reference(a, b, 40)
+    assert list(series_mul(f, g).coeffs) == conv_reference(a, b, 100)
+
+
+def test_kronecker_only_for_at_least_32_terms_of_at_most_4_bits_each(monkeypatch):
+    import heckescan.series as s
+
+    taken = []
+    for name, path in (("_convolve_kronecker", "kronecker"), ("_convolve_schoolbook", "schoolbook")):
+        monkeypatch.setattr(s, name, lambda a, b, n, path=path: taken.append(path) or conv_reference(a, b, n))
+    # terms, the largest coefficient of either operand, the path: the
+    # largest coefficients' bits summed against 4 bits per term
+    cases = [
+        (31, 1, "schoolbook"),
+        (32, 1, "kronecker"),
+        (32, 2**63, "kronecker"),
+        (32, 2**64, "schoolbook"),
+        (100, 2**199, "kronecker"),
+        (100, 2**200, "schoolbook"),
+    ]
+    for terms, top, path in cases:
+        a = [top] + [1] * (terms - 1)
+        b = [-top] + [1] * (terms + 4) + [4 * top]
+        taken.clear()
+        # the longer operand is cut to n_out first, so its 4 top never counts
+        assert s.series_mul(IntSeries(a), IntSeries(b)).coeffs == tuple(conv_reference(a, b, terms))
+        assert taken == [path], (terms, top)
 
 
 def test_coefficient_access_beyond_precision_is_error():
