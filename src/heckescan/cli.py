@@ -189,11 +189,11 @@ def _version_text():
     try:
         import gmpy2
     except ImportError:
-        series_backend = "no gmpy2"
+        backend = "no gmpy2"
     else:
-        series_backend = f"gmpy2 {gmpy2.version()}"
+        backend = f"gmpy2 {gmpy2.version()}"
     return (
-        f"heckescan {__version__} (Python {sys.version.split()[0]}, {series_backend}, "
+        f"heckescan {__version__} (Python {sys.version.split()[0]}, {backend}, "
         f"mpmath {mpmath.__version__} {mpmath.libmp.BACKEND} backend)"
     )
 

@@ -5,8 +5,8 @@ the discriminant cusp form, the dimension of the weight-k cusp space,
 and the echelonized integral basis f_1, ..., f_d of that space with
 f_j = q^j + O(q^(d+1)).
 
-The weight-independent series every basis is built from, E4, E6 and
-q*j = E4^3 / (Delta/q) through q^P, live in one process-wide cache,
+The one weight-independent series every basis is built from,
+q*j = E4^3 / (Delta/q) through q^P, lives in a process-wide cache,
 `_level1_cache`.  It only grows: a call that needs a precision above P
 rebuilds it at exactly that precision, and every caller reads exact
 truncations of it, so a result never depends on what the process
@@ -26,13 +26,9 @@ from .series import IntSeries, series_mul, series_pow
 _bern_cache: list[Fraction] = [Fraction(1)]
 _bern_lock = threading.Lock()
 
-# (P, E4, E6, q*j), see the module docstring; None until first use.
-_level1_cache: tuple[int, IntSeries, IntSeries, IntSeries] | None = None
+# (P, q*j), see the module docstring; None until first use.
+_level1_cache: tuple[int, IntSeries] | None = None
 _level1_lock = threading.Lock()
-
-# k mod 12 -> exponents (a, b) with E4^a * E6^b of weight k mod 12
-# (weight 14 when k = 2 mod 12, since weight 2 has no Eisenstein series).
-_EIS_MONOMIAL = {0: (0, 0), 2: (2, 1), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1)}
 
 
 def bernoulli(n):
@@ -92,19 +88,17 @@ def delta(prec):
 
 
 def _level1(prec):
-    """(E4, E6, q*j) through q^prec, cut from the process-wide cache; a
-    cache shorter than prec is first rebuilt at exactly prec."""
+    """q*j through q^prec, cut from the process-wide cache; a cache
+    shorter than prec is first rebuilt at exactly prec."""
     global _level1_cache
     cache = _level1_cache
     if cache is None or cache[0] < prec:
         with _level1_lock:
             cache = _level1_cache
             if cache is None or cache[0] < prec:
-                e4 = eisenstein(4, prec)
-                e6 = eisenstein(6, prec)
-                qj = series_mul(series_pow(e4, 3), _delta_q_power(-1, prec))
-                cache = _level1_cache = (prec, e4, e6, qj)
-    return tuple(IntSeries(f.coeffs[: prec + 1]) for f in cache[1:])
+                qj = series_mul(series_pow(eisenstein(4, prec), 3), _delta_q_power(-1, prec))
+                cache = _level1_cache = (prec, qj)
+    return IntSeries(cache[1].coeffs[: prec + 1])
 
 
 def _delta_q_power(e, prec):
@@ -179,8 +173,10 @@ def miller_basis(k, prec=None):
     """The unique echelon basis of the weight-k cusp space, each form
     computed through q^prec (default: twice the dimension).
 
-    Row r (1 <= r <= d) is Delta^d * head * j^(d-r), with head = E4^a E6^b
-    of weight k - 12d and j = E4^3 / Delta the modular invariant; it
+    Row r (1 <= r <= d) is Delta^d * head * j^(d-r), with j = E4^3 / Delta
+    the modular invariant and head the Eisenstein series E_w of weight
+    w = k - 12d in {4, 6, 8, 10, 14}, or 1 when w = 0; each such M_w is
+    one-dimensional, so E_w = E4^a E6^b for every 4a + 6b = w.  Row r
     equals Delta^r * E4^(3(d-r)) * head, so it starts at q^r with
     coefficient 1 and the rows are lower triangular with unit diagonal.
     Written with D = Delta/q, row r is q^r * g_(d-r) along the chain of
@@ -221,17 +217,17 @@ def _j_chain(k, d, precs):
     weight-k span, whose row d - m is q^(d-m) * g_m (see miller_basis).
 
     D^d is built by _delta_q_power from Jacobi's sparse series for
-    prod (1 - q^n)^3, with no series product; then head and each step of
-    the chain take one series_mul each.  Each product is cut at the
-    precision its g_m is asked for, so a caller whose rows read less
-    further down the chain (trace_t2) multiplies ever shorter series.
+    prod (1 - q^n)^3, with no series product; then the head E_w, built
+    directly by eisenstein, and each step of the chain take one
+    series_mul each.  Each product is cut at the precision its g_m is
+    asked for, so a caller whose rows read less further down the chain
+    (trace_t2) multiplies ever shorter series.
     Every g_m must start with 1, the leading coefficient of its row.
     """
-    e4, e6, qj = _level1(precs[0])
-    a, b = _EIS_MONOMIAL[k % 12]
+    qj = _level1(precs[0])
     g = _delta_q_power(d, precs[0])
-    for factor in [e4] * a + [e6] * b:  # times head = E4^a E6^b
-        g = series_mul(g, factor)
+    if k > 12 * d:  # times head = E_(k - 12d)
+        g = series_mul(g, eisenstein(k - 12 * d, precs[0]))
     for m, prec in enumerate(precs):
         if m:
             if qj.prec > prec:

@@ -210,8 +210,7 @@ def _grow_pool(count):
     global _seg_pool_limit
     while len(_seg_prime_pool) < count:
         _seg_pool_limit = max(1024, _seg_pool_limit * 2)
-        flags = _sieve_flags(_seg_pool_limit)
-        _seg_prime_pool[:] = [p for p in range(2, _seg_pool_limit + 1) if flags[p]]
+        _seg_prime_pool[:] = sieve(_seg_pool_limit).primes
 
 
 def primes_above(n):

@@ -5,21 +5,17 @@ and nothing beyond.  Every operation is exact; binary operations truncate
 to the smaller operand precision, so callers that need N coefficients must
 build their inputs at precision >= N to begin with.
 
-Multiplication is the plain Cauchy product.  For long operands with
-narrow coefficients the same product is computed by Kronecker
-substitution (coefficients packed into a single big integer, one big
-multiply, then unpacked); the two paths are bit-for-bit identical and the
-test suite checks them against each other.
+Multiplication is the plain Cauchy product by the schoolbook loop, and
+has no other path.  Most products the package makes have fewer than 32
+terms, or coefficients that grow like exp(4 pi sqrt(n)) along the
+j-chain; Kronecker substitution, which packs every coefficient into a
+window sized for the largest, loses on both (README.md, "Performance").
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpz = None
 
 class IntSeries:
     """Truncated q-expansion with exact integer coefficients.
@@ -71,7 +67,7 @@ def series_mul(f, g):
     if not (isinstance(f, IntSeries) and isinstance(g, IntSeries)):
         raise TypeError("series_mul needs two IntSeries")
     n_out = min(f.prec, g.prec) + 1
-    return IntSeries(_int_convolve(f.coeffs, g.coeffs, n_out))
+    return IntSeries(_convolve_schoolbook(f.coeffs, g.coeffs, n_out))
 
 
 def series_pow(f, e):
@@ -91,74 +87,13 @@ def series_pow(f, e):
     return result
 
 
-def _int_convolve(a, b, n_out):
-    """First n_out coefficients of the integer convolution a*b.
-
-    Kronecker substitution packs every coefficient into a window sized
-    for the largest, so it wins on many terms of similar size and loses
-    where the largest coefficient is far wider than the typical one, as
-    along the j-chain of modforms, whose coefficients grow like
-    exp(4 pi sqrt(n)).  Measured without gmpy2 on the products of the
-    traces to k = 1000 and of the level-1 series, Kronecker runs at most
-    1.3x as fast as the schoolbook loop below 32 terms, at any width,
-    and loses once the largest coefficients of the two operands together
-    take more than 4 bits per term; see README.md for the table.
-    """
-    a = a[:n_out]
-    b = b[:n_out]
-    terms = min(len(a), len(b))
-    if terms < 32 or _bits(a) + _bits(b) > 4 * terms:
-        return _convolve_schoolbook(a, b, n_out)
-    return _convolve_kronecker(a, b, n_out)
-
-
-def _bits(cs):
-    return max(map(abs, cs)).bit_length()
-
-
 def _convolve_schoolbook(a, b, n_out):
+    """First n_out coefficients of the integer convolution a*b."""
     out = [0] * n_out
-    for i, ai in enumerate(a):
+    for i, ai in enumerate(islice(a, n_out)):
         if ai:
             # islice, not b[: n_out - i]: a list copy per row adds about
             # 0.25 MiB to the peak RSS of a scan's workers
             for j, bj in enumerate(islice(b, n_out - i), i):
                 out[j] += ai * bj
     return out
-
-
-def _convolve_kronecker(a, b, n_out):
-    # Evaluate both polynomials at 2^w with w wide enough that every
-    # coefficient of the product fits in a signed w-bit window, multiply
-    # once, then slice the windows back out.
-    amax = max(abs(c) for c in a)
-    bmax = max(abs(c) for c in b)
-    if amax == 0 or bmax == 0:
-        return [0] * n_out
-    w = (amax * bmax * min(len(a), len(b))).bit_length() + 2
-    w = (w + 7) & ~7
-    nbytes = w // 8
-    x = _pack_signed(a, nbytes)
-    y = _pack_signed(b, nbytes)
-    if _mpz is not None:
-        prod = int(_mpz(x) * _mpz(y))
-    else:
-        prod = x * y
-    # Shift every window by 2^(w-1) so the signed digits become plain
-    # byte-aligned fields, then extract.  Masking keeps only the windows
-    # we need; higher ones cannot disturb lower ones because the offset
-    # leaves no carries.
-    half = 1 << (w - 1)
-    offset = int.from_bytes((b"\x00" * (nbytes - 1) + b"\x80") * n_out, "little")
-    mask = (1 << (w * n_out)) - 1
-    data = ((prod + offset) & mask).to_bytes(n_out * nbytes, "little")
-    return [
-        int.from_bytes(data[i * nbytes : (i + 1) * nbytes], "little") - half
-        for i in range(n_out)
-    ]
-
-
-def _pack_signed(cs, nbytes):
-    pos = b"".join((c if c > 0 else 0).to_bytes(nbytes, "little") for c in cs)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(nbytes, "little") for c in cs)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")

@@ -12,7 +12,6 @@ from heckescan.modforms import (
     dim_cusp,
     eisenstein,
     miller_basis,
-    _EIS_MONOMIAL,
     _delta_q_power,
     _echelon_columns,
     _j_chain,
@@ -234,14 +233,26 @@ def test_delta_q_power_checks_every_division():
 
 
 def test_e4_cubed_minus_e6_squared_divisible_by_1728():
-    # E4^3 - E6^2 = 1728 Delta, with Delta from the power recurrence; the
-    # precisions span both the schoolbook and the Kronecker product
+    # E4^3 - E6^2 = 1728 Delta, with Delta from the power recurrence, at
+    # every precision through q^200
     for prec in range(201):
         e4 = eisenstein(4, prec)
         e6 = eisenstein(6, prec)
         num = [a - b for a, b in zip(series_pow(e4, 3).coeffs, series_mul(e6, e6).coeffs)]
         dq = _delta_q_power(1, prec - 1).coeffs if prec else ()
         assert num == [0] + [1728 * c for c in dq], prec
+
+
+def test_products_of_e4_and_e6_are_the_eisenstein_series_of_their_weight():
+    # M_8, M_10 and M_14 are one-dimensional, so E4^2 = E8, E4 E6 = E10 and
+    # E4^2 E6 = E14: the premise of the chain head E_w in _j_chain
+    for prec in range(201):
+        e4 = eisenstein(4, prec)
+        e6 = eisenstein(6, prec)
+        e4e4 = series_mul(e4, e4)
+        assert e4e4 == eisenstein(8, prec), prec
+        assert series_mul(e4, e6) == eisenstein(10, prec), prec
+        assert series_mul(e4e4, e6) == eisenstein(14, prec), prec
 
 
 # --- dim_cusp ------------------------------------------------------------
@@ -378,9 +389,10 @@ def test_trace_columns_are_the_basis_coefficients_to_200():
 
 
 def test_trace_makes_one_chain_product_per_row_below_the_top(monkeypatch):
-    # ceil(d/2) - 1 products by q*j, the m-th cut at q^(d-m), after the a + b
-    # products by the head E4^a E6^b; D^d comes from no series product at all
-    qj = _level1(2 * dim_cusp(1000))[2].coeffs
+    # ceil(d/2) - 1 products by q*j, the m-th cut at q^(d-m), after one
+    # product by the head E_(k - 12d), none when k = 0 mod 12; D^d comes
+    # from no series product at all
+    qj = _level1(2 * dim_cusp(1000)).coeffs
     precs = []
     calls = {"mul": 0, "pow": 0}
 
@@ -396,14 +408,14 @@ def test_trace_makes_one_chain_product_per_row_below_the_top(monkeypatch):
 
     monkeypatch.setattr(heckescan.modforms, "series_mul", counting_mul)
     monkeypatch.setattr(heckescan.modforms, "series_pow", counting_pow)
-    for k in (12, 24, 36, 48, 100, 366, 612, 1000):
+    for k in (12, 24, 26, 36, 48, 70, 80, 100, 366, 612, 1000):
         d = dim_cusp(k)
-        a, b = _EIS_MONOMIAL[k % 12]
+        head = 0 if k % 12 == 0 else 1
         precs.clear()
         calls.update(mul=0, pow=0)
         trace_t2(k)
         assert precs == list(range(d - 1, d - (d + 1) // 2, -1)), k
-        assert calls == {"mul": a + b + (d + 1) // 2 - 1, "pow": 0}, k
+        assert calls == {"mul": head + (d + 1) // 2 - 1, "pow": 0}, k
 
 
 def test_both_chain_precisions_check_the_leading_coefficients(monkeypatch):
@@ -432,12 +444,10 @@ def test_both_chain_precisions_check_the_leading_coefficients(monkeypatch):
 
 
 def fresh_level1(prec):
-    """(E4, E6, q*j) built from nothing at precision prec, 1/(Delta/q) by
-    the term-by-term inverse of (E4^3 - E6^2) / 1728."""
+    """q*j built from nothing at precision prec, 1/(Delta/q) by the
+    term-by-term inverse of (E4^3 - E6^2) / 1728."""
     e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
-    qj = series_mul(series_pow(e4, 3), series_inv_oracle(delta_over_q_1728(prec)))
-    return e4, e6, qj
+    return series_mul(series_pow(e4, 3), series_inv_oracle(delta_over_q_1728(prec)))
 
 
 @pytest.fixture
