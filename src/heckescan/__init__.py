@@ -4,7 +4,6 @@ weight-range duplicate scanning, and prime-counting bound verification."""
 from .series import IntSeries, series_mul
 from .modforms import (
     MillerBasis,
-    bernoulli,
     delta,
     dim_cusp,
     eisenstein,

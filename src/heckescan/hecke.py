@@ -321,9 +321,7 @@ def _integer_roots(coeffs):
     """
     candidates = set(range(-100, 101))
     a0 = coeffs[-1]
-    if a0 == 0:
-        candidates.add(0)
-    elif abs(a0) <= 10**9:
+    if 0 < abs(a0) <= 10**9:
         # full divisor set of the constant term is affordable here
         m = abs(a0)
         f = 1
@@ -407,47 +405,34 @@ def _unpack(x, nb, n):
     return [from_bytes(data[i : i + nb], "little") for i in range(0, n * nb, nb)]
 
 
-def _barrett(f, q):
+def _reducer(f, q):
     """(nb, rem) for the monic f of degree d >= 1 mod the prime q: rem
     takes a packed polynomial a of at most 2d windows of nb bytes, each at
-    most d (q - 1)^2, to its remainder mod f, reduced mod q, as a list of
-    d residues.
+    most d (q - 1)^2 + q, to its remainder mod f, reduced mod q, as a list
+    of d residues.
 
-    rem is Barrett's remainder (von zur Gathen and Gerhard, Modern
-    Computer Algebra, 9.1): the quotient of a by f reversed is
-    rev(a) rev(f)^-1 mod x^d, and the remainder is a + quotient * (-f)
-    mod x^d, both read from unreduced windows: every step is a ring
-    operation, so reducing mod q once at the end gives the same residues.
-    rev(f)^-1 mod x^d is built once, by Newton's iteration
-    g <- g (2 - rev(f) g), which doubles the number of correct terms each
-    round; it is packed reversed, so the quotient sits in windows
-    d-1 .. 2d-2 of one product with the top half of a.
-
-    nb holds d^2 (q - 1)^3 + 2 d (q - 1)^2, which bounds every window
-    here and in the certificate.  A product of two lists of at most d
-    residues sums at most d terms below (q - 1)^2 per window; the quotient
-    sums d products of such a window with a residue, below d^2 (q - 1)^3;
-    once reduced, its product with -f adds at most d (q - 1)^2 to a
-    window of a.
+    The table holds the rows x^j mod f for j = d .. 2d - 1, built once:
+    x^d mod f is -f less its top term, and each row after is x times the
+    row before, less its top coefficient times f.  rem reduces the 2d
+    windows of a mod q and adds sum_j a_j (x^j mod f) to its low half, one
+    packed matrix-vector product, then reduces again.  A window of that
+    sum is a residue plus d products of two residues, so nb holds
+    d (q - 1)^2 + q, which also bounds every product the certificate
+    hands over: a product of two lists of at most d residues sums at most
+    d terms below (q - 1)^2 per window.
     """
     d = len(f) - 1
-    nb = _window(d**2 * (q - 1) ** 3 + 2 * d * (q - 1) ** 2)
-    w = 8 * nb
-    rev_f = f[:0:-1]  # rev(f) mod x^d
-    g = [1]
-    m = 1
-    while m < d:
-        m = min(2 * m, d)
-        e = [-c % q for c in _unpack(_pack(rev_f[:m], nb) * _pack(g, nb), nb, m)]
-        e[0] = (e[0] + 2) % q
-        g = [c % q for c in _unpack(_pack(g, nb) * _pack(e, nb), nb, m)]
-    inverse = _pack(g[::-1], nb)
-    minus_f = _pack([-c % q for c in f[:d]], nb)
-    low = (1 << (w * d)) - 1
+    nb = _window(d * (q - 1) ** 2 + q)
+    row = [-c % q for c in f[:d]]
+    table = []
+    for _ in range(d):
+        table.append(_pack(row, nb))
+        top = row[-1]
+        row = [-top * f[0] % q] + [(c - top * fc) % q for c, fc in zip(row, f[1:d])]
 
     def rem(a):
-        quotient = [c % q for c in _unpack((a >> (w * d)) * inverse >> (w * (d - 1)), nb, d)]
-        return [c % q for c in _unpack((a & low) + _pack(quotient, nb) * minus_f, nb, d)]
+        cs = [c % q for c in _unpack(a, nb, 2 * d)]
+        return [c % q for c in _unpack(sum(map(mul, cs[d:], table), _pack(cs[:d], nb)), nb, d)]
 
     return nb, rem
 
@@ -458,17 +443,18 @@ def _factor_degrees_mod_q(f, q):
 
     x^q mod f comes from packed squarings (a multiplication by x is a
     shift by one window) and the Frobenius rows x^(q*j) mod f from one
-    packed product with x^q each, all reduced by _barrett's remainder.
-    Step i takes h = x^(q^i) mod f to x^(q^(i+1)) = sum_j h_j x^(q*j) by
-    one packed matrix-vector product with those rows.  As f is
-    squarefree, gcd(h - x, f) is the product of its factors of degree
-    dividing i: deg gcd, less the degrees found so far that divide i, is
-    i times the number of degree-i factors, and no factor is divided out.
+    packed product with x^q each, all reduced by _reducer's table of
+    x^j mod f, so every step is a packed product.  Step i takes
+    h = x^(q^i) mod f to x^(q^(i+1)) = sum_j h_j x^(q*j) by one packed
+    matrix-vector product with those rows.  As f is squarefree,
+    gcd(h - x, f) is the product of its factors of degree dividing i:
+    deg gcd, less the degrees found so far that divide i, is i times the
+    number of degree-i factors, and no factor is divided out.
     """
     d = len(f) - 1
     if len(_pm_gcd(f, [i * c % q for i, c in enumerate(f)][1:], q)) > 1:
         return None
-    nb, rem = _barrett(f, q)
+    nb, rem = _reducer(f, q)
     w = 8 * nb
     xq = [1]
     for bit in bin(q)[2:]:
@@ -504,8 +490,8 @@ def _pm_trim(a):
 def _pm_gcd(a, b, q):
     """A gcd of a and b mod q by Euclid's algorithm with schoolbook
     division; it is not made monic, as callers read only its degree.  The
-    divisor changes at every step, so a Barrett inverse would serve one
-    remainder only."""
+    divisor changes at every step, so a table of x^j mod the divisor, as
+    _reducer builds, would serve one remainder only."""
     a = _pm_trim(list(a))
     b = _pm_trim(list(b))
     while b:

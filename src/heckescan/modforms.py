@@ -1,6 +1,6 @@
 """Level-1 modular forms as exact q-expansions.
 
-Provides Bernoulli numbers, the normalized Eisenstein series E4/E6/...,
+Provides the integral normalized Eisenstein series E4, E6, E8, E10, E14,
 the discriminant cusp form, the dimension of the weight-k cusp space,
 and the echelonized integral basis f_1, ..., f_d of that space with
 f_j = q^j + O(q^(d+1)).
@@ -15,39 +15,15 @@ computed before.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .series import IntSeries, series_mul, series_pow
 
-_bern_cache: list[Fraction] = [Fraction(1)]
-_bern_lock = threading.Lock()
-
 # (P, q*j), see the module docstring; None until first use.
 _level1_cache: tuple[int, IntSeries] | None = None
 _level1_lock = threading.Lock()
-
-
-def bernoulli(n):
-    """Bernoulli number B_n (convention B_1 = -1/2) as an exact Fraction.
-
-    Uses the defining recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0, filled
-    incrementally and cached.
-    """
-    if n < 0:
-        raise ValueError("Bernoulli index must be nonnegative")
-    if n < len(_bern_cache):
-        return _bern_cache[n]
-    with _bern_lock:
-        for m in range(len(_bern_cache), n + 1):
-            acc = Fraction(0)
-            for j in range(m):
-                acc += math.comb(m + 1, j) * _bern_cache[j]
-            _bern_cache.append(-acc / (m + 1))
-    return _bern_cache[n]
 
 
 def _divisor_power_sums(power, prec):
@@ -60,21 +36,26 @@ def _divisor_power_sums(power, prec):
     return sums
 
 
+# -2k/B_k for the weights where it is an integer, the factor of E_k.  No
+# other weight has one: at k = 12 and 16 it is 65520/691 and 16320/3617,
+# and from k = 18 on |B_k| > 2k.
+_EISENSTEIN_FACTORS = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
+
+
 def eisenstein(k, prec):
     """Normalized Eisenstein series E_k = 1 - (2k/B_k) sum sigma_{k-1}(n) q^n.
 
     Only weights where -2k/B_k is an integer are representable as an
-    IntSeries (k in {4, 6, 8, 10, 14} among small weights); other weights
-    are rejected rather than silently returning rationals.
+    IntSeries (k in {4, 6, 8, 10, 14}); other weights are rejected rather
+    than silently returning rationals.
     """
     if k % 2 != 0 or k < 4:
         raise ValueError(f"Eisenstein weight must be even and >= 4, got {k}")
     if prec < 0:
         raise ValueError("precision must be nonnegative")
-    factor = Fraction(-2 * k) / bernoulli(k)
-    if factor.denominator != 1:
+    factor = _EISENSTEIN_FACTORS.get(k)
+    if factor is None:
         raise ValueError(f"-2k/B_k is not an integer for k={k}; no integral E_{k}")
-    factor = int(factor)
     sums = _divisor_power_sums(k - 1, prec)
     coeffs = [1] + [factor * sums[n] for n in range(1, prec + 1)]
     return IntSeries(coeffs)

@@ -16,17 +16,18 @@ from heckescan.hecke import (
     t2_matrix,
     trace_t2,
     _LIFT_PRIMES,
-    _barrett,
     _deflate,
     _eval_int,
     _factor_degrees_mod_q,
     _integer_roots,
     _inverse_mod_p,
     _pack,
+    _reducer,
     _unpack,
     _window,
 )
 from heckescan.modforms import delta, dim_cusp, miller_basis
+from heckescan.primes import primes_above
 from test_modforms import spanning_set_echelon
 
 # frozen by the eta-product / divisor-sum oracle run before the build
@@ -637,7 +638,7 @@ def test_mod_q_kernels_against_the_schoolbook_oracle(q):
     for _ in range(80):
         f = [rng.randrange(q) for _ in range(rng.randint(1, 70))] + [1]
         d = len(f) - 1
-        nb, rem = _barrett(f, q)
+        nb, rem = _reducer(f, q)
         a, b = ([rng.randrange(q) for _ in range(rng.randint(1, d))] for _ in range(2))
         assert _unpack(_pack(a, nb), nb, len(a) + 2) == a + [0, 0]
         assert _trimmed(rem(_pack(a, nb) * _pack(b, nb))) == _schoolbook_mulmod(a, b, f, q), (a, b, f)
@@ -649,43 +650,38 @@ def test_mod_q_kernels_against_the_schoolbook_oracle(q):
         assert _trimmed(r) == _trimmed([c % q for c in _pq_divmod(a_wide, f, q)[1]]), (a_wide, f)
 
 
-def _series_inverse(h, n, q):
-    """h^-1 mod x^n mod q for h[0] == 1, term by term."""
-    g = [1]
-    for i in range(1, n):
-        g.append(-sum(h[j] * g[i - j] for j in range(1, min(i, len(h) - 1) + 1)) % q)
-    return g
-
-
 @pytest.mark.parametrize("q", [2, 3, 331, 65537, 2**61 - 1])
 def test_windows_reach_their_bound_when_every_coefficient_is_q_minus_1(q):
     for d in (1, 2, 7, 40):
         full = [q - 1] * d
-        bound = d**2 * (q - 1) ** 3 + 2 * d * (q - 1) ** 2
-        # rev(f)^-1 mod x^d is 1 + (q - 1)(x + ... + x^(d-1)), as near all
-        # q - 1 as a monic f allows; then f = 1 + x + ... + x^d, whose
-        # -f is q - 1 in every window
-        target = [1] + full[1:]
-        h = _series_inverse(target, d, q)
-        for f in ([1] + h[::-1], [1] * (d + 1)):
-            nb, rem = _barrett(f, q)
+        bound = d * (q - 1) ** 2 + q
+        widest = 0
+        # f = 1 + x + ... + x^d, whose first table row x^d mod f is q - 1
+        # in every window, and f = x^d - 1, whose rows are the units x^(j-d)
+        for f in ([1] * (d + 1), [q - 1] + [0] * (d - 1) + [1]):
+            nb, rem = _reducer(f, q)
             assert bound < 256**nb
+            # rem of the unit x^j reads back table row j
+            rows = [rem(_pack([0] * j + [1], nb)) for j in range(d, 2 * d)]
+            assert [_trimmed(list(r)) for r in rows] == [
+                _schoolbook_rem([0] * j + [1], f, q) for j in range(d, 2 * d)
+            ], (f, q)
             # a product of two all-(q - 1) lists peaks at d (q - 1)^2
             product = _pack(full, nb) * _pack(full, nb)
             assert max(_unpack(product, nb, 2 * d)) == d * (q - 1) ** 2
             assert _trimmed(rem(product)) == _schoolbook_mulmod(full, full, f, q), (f, q)
-            # the largest input rem takes, d (q - 1)^2 in all 2d windows
-            top = [d * (q - 1) ** 2] * (2 * d)
-            assert _trimmed(rem(_pack(top, nb))) == _schoolbook_rem(top, f, q), (f, q)
+            # 2d windows at that peak, and at the largest input rem takes
+            for top in ([d * (q - 1) ** 2] * (2 * d), [bound] * (2 * d)):
+                assert _trimmed(rem(_pack(top, nb))) == _schoolbook_rem(top, f, q), (f, q)
+            # the widest window rem sums: q - 1 in the low half plus q - 1
+            # times every row there
+            widest = max(widest, max((q - 1) * (1 + sum(col)) for col in zip(*rows)))
             if q < 2**61:
                 assert _factor_degrees_mod_q(f, q) == _factor_degrees_scalar(f, q), (f, q)
-        # with the first f the quotient's top window, the widest sum nb
-        # holds, is d (q - 1)^2 (1 + (d - 1)(q - 1)): the bound's first
-        # term but for the unit constant term of rev(f)^-1
-        assert _series_inverse(h, d, q) == target
-        nb = _barrett([1] + h[::-1], q)[0]
-        quotient = (_pack(top, nb) >> (8 * nb * d)) * _pack(target[::-1], nb) >> (8 * nb * (d - 1))
-        assert max(_unpack(quotient, nb, d)) == d * (q - 1) ** 2 * (1 + (d - 1) * (q - 1)) <= bound
+        assert widest < bound
+        if d == 1:
+            # x = q - 1 mod x + 1, so the one row meets the bound
+            assert widest == bound - 1
 
 
 def test_window_widths_follow_their_bound():
@@ -696,6 +692,10 @@ def test_window_widths_follow_their_bound():
         top = 256**nb - 1
         assert _unpack(_pack([top, 0, 1, top], nb), nb, 4) == [top, 0, 1, top]
         assert _unpack(_pack([top, 5], nb) << 8 * nb, nb, 2) == [0, top]
+    # the k = 340 certificate (d = 28) starts at q = 347, where
+    # 28 * 346^2 + 347 fits 4 bytes
+    assert dim_cusp(340) == 28 and next(iter(primes_above(340))) == 347
+    assert _reducer([1] * 29, 347)[0] == 4
 
 
 def test_packed_certificate_equals_the_scalar_route_on_2800_polynomials():

@@ -1,13 +1,17 @@
 """Static checks on the package source that need no linter installed."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "heckescan"
 # __init__.py imports names to re-export them, not to use them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+README = PACKAGE.parent.parent / "README.md"
 
 
 def unused_imports(source):
@@ -142,3 +146,29 @@ def test_unused_parameters_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def stale_private_references(text, modules):
+    """Backticked private names in text, `_name` or `module._name`, that
+    are no attribute of the module named, or of any module when none is
+    named; modules maps module names to modules."""
+    stale = []
+    for module, name in re.findall(r"`(?:(\w+)\.)?(_[A-Za-z]\w*)`", text):
+        owners = [modules[module]] if module in modules else [] if module else modules.values()
+        if not any(hasattr(m, name) for m in owners):
+            stale.append(f"{module}.{name}" if module else name)
+    return stale
+
+
+def test_stale_private_references_are_found():
+    modules = {"a": SimpleNamespace(_kept=1), "b": SimpleNamespace(_other=2)}
+    text = "`_kept` `a._kept` `b._kept` `_gone` `c._other` `_other` `__init__` `plain` `a._kept(x)`"
+    assert stale_private_references(text, modules) == ["b._kept", "_gone", "c._other"]
+
+
+def test_readme_private_references_resolve():
+    # __main__ runs the CLI on import; it defines nothing the README names
+    modules = {p.stem: importlib.import_module(f"heckescan.{p.stem}") for p in MODULES if p.stem != "__main__"}
+    text = README.read_text(encoding="utf-8")
+    assert re.search(r"`(\w+\.)?_[A-Za-z]\w*`", text)
+    assert stale_private_references(text, modules) == []

@@ -7,7 +7,6 @@ import pytest
 import heckescan.modforms
 from heckescan.modforms import (
     MillerBasis,
-    bernoulli,
     delta,
     dim_cusp,
     eisenstein,
@@ -116,29 +115,6 @@ def spanning_set_echelon(k, prec):
     return rows[:pivot_row]
 
 
-# --- bernoulli -----------------------------------------------------------
-
-
-def test_bernoulli_base_cases():
-    assert bernoulli(0) == 1
-    assert bernoulli(1) == Fraction(-1, 2)
-    assert bernoulli(3) == 0
-
-
-def test_bernoulli_12():
-    assert bernoulli(12) == Fraction(-691, 2730)
-
-
-def test_bernoulli_against_double_sum_oracle():
-    for n in range(0, 18):
-        assert bernoulli(n) == bernoulli_double_sum(n), n
-
-
-def test_bernoulli_negative_index():
-    with pytest.raises(ValueError):
-        bernoulli(-1)
-
-
 # --- eisenstein ----------------------------------------------------------
 
 
@@ -183,6 +159,25 @@ def test_eisenstein_rejects_bad_weights():
 def test_eisenstein_integral_weights():
     for k, a1 in ((4, 240), (6, -504), (8, 480), (10, -264), (14, -24)):
         assert eisenstein(k, 1)[1] == a1
+
+
+def test_eisenstein_factors_are_minus_2k_over_b_k():
+    # the oracle's own values first: B_0, B_1 = -1/2, B_3 = 0 and B_12
+    assert [bernoulli_double_sum(n) for n in (0, 1, 3)] == [1, Fraction(-1, 2), 0]
+    assert bernoulli_double_sum(12) == Fraction(-691, 2730)
+    factors = {}
+    for k in range(4, 101, 2):
+        factor = Fraction(-2 * k) / bernoulli_double_sum(k)
+        if factor.denominator == 1:
+            factors[k] = int(factor)
+            assert eisenstein(k, 1)[1] == factors[k], k
+        else:
+            with pytest.raises(ValueError, match="not an integer"):
+                eisenstein(k, 1)
+    # every other even k <= 100 has a proper fraction, 65520/691 first
+    assert factors == heckescan.modforms._EISENSTEIN_FACTORS
+    assert Fraction(-24) / bernoulli_double_sum(12) == Fraction(65520, 691)
+    assert Fraction(-32) / bernoulli_double_sum(16) == Fraction(16320, 3617)
 
 
 # --- delta ---------------------------------------------------------------
