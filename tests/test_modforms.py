@@ -161,10 +161,28 @@ def test_eisenstein_integral_weights():
         assert eisenstein(k, 1)[1] == a1
 
 
-def test_eisenstein_factors_are_minus_2k_over_b_k():
-    # the oracle's own values first: B_0, B_1 = -1/2, B_3 = 0 and B_12
+def test_bernoulli_base_cases():
+    # the oracle's own values: B_0, B_1 = -1/2, B_3 = 0, and -2k/B_k at
+    # the two smallest weights is the table's first two entries
     assert [bernoulli_double_sum(n) for n in (0, 1, 3)] == [1, Fraction(-1, 2), 0]
+    assert Fraction(-8) / bernoulli_double_sum(4) == 240 == eisenstein(4, 1)[1]
+    assert Fraction(-12) / bernoulli_double_sum(6) == -504 == eisenstein(6, 1)[1]
+
+
+def test_bernoulli_12():
+    # B_12 = -691/2730, so -24/B_12 = 65520/691 and E_12 has no integral
+    # normalisation; the same holds at k = 16 with 16320/3617
     assert bernoulli_double_sum(12) == Fraction(-691, 2730)
+    assert Fraction(-24) / bernoulli_double_sum(12) == Fraction(65520, 691)
+    assert Fraction(-32) / bernoulli_double_sum(16) == Fraction(16320, 3617)
+    for k in (12, 16):
+        with pytest.raises(ValueError, match="not an integer"):
+            eisenstein(k, 1)
+
+
+def test_bernoulli_against_double_sum_oracle():
+    # the table is -2k/B_k wherever that is an integer, and every other
+    # even k <= 100 gives a proper fraction
     factors = {}
     for k in range(4, 101, 2):
         factor = Fraction(-2 * k) / bernoulli_double_sum(k)
@@ -174,10 +192,7 @@ def test_eisenstein_factors_are_minus_2k_over_b_k():
         else:
             with pytest.raises(ValueError, match="not an integer"):
                 eisenstein(k, 1)
-    # every other even k <= 100 has a proper fraction, 65520/691 first
     assert factors == heckescan.modforms._EISENSTEIN_FACTORS
-    assert Fraction(-24) / bernoulli_double_sum(12) == Fraction(65520, 691)
-    assert Fraction(-32) / bernoulli_double_sum(16) == Fraction(16320, 3617)
 
 
 # --- delta ---------------------------------------------------------------
