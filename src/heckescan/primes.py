@@ -293,7 +293,7 @@ def smallest_nondivisor_prime(n):
     if n < 1:
         raise ValueError("n must be a positive integer")
     nz = _mpz(n)
-    if nz % 2:
+    if nz & 1:
         return 2
     r = nz % _segment(_SMALL_SEGMENTS).marks[0]
     if r:

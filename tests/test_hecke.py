@@ -15,18 +15,21 @@ from heckescan.hecke import (
     eigenform_coeffs,
     t2_matrix,
     trace_t2,
-    _LIFT_PRIMES,
     _deflate,
     _eval_int,
-    _factor_degrees_mod_q,
     _integer_roots,
+)
+from heckescan.modforms import delta, dim_cusp, miller_basis
+from heckescan.modp import (
+    _LIFT_PRIMES,
+    _dixon_solve,
+    _factor_degrees_mod_q,
     _inverse_mod_p,
     _pack,
     _reducer,
     _unpack,
     _window,
 )
-from heckescan.modforms import delta, dim_cusp, miller_basis
 from heckescan.primes import primes_above
 from test_modforms import spanning_set_echelon
 
@@ -276,6 +279,21 @@ def test_packed_inverse_against_the_scalar_gauss_jordan(p):
     assert kinds == {True, False}
 
 
+def test_dixon_solve_on_integer_systems():
+    rng = random.Random(26)
+    for n in (1, 2, 5, 9):
+        m = [[rng.randint(-(10**30), 10**30) for _ in range(n)] for _ in range(n)]
+        c = [rng.randint(-(10**200), 10**200) for _ in range(n)]
+        b = [sum(x * y for x, y in zip(row, c)) for row in m]
+        assert _dixon_solve(m, b, max(map(abs, c))) == c
+    assert _dixon_solve([[1, 2], [2, 4]], [3, 6], 10) is None
+    # the solution 3/2 is no integer: its digits run past any bound
+    with pytest.raises(ArithmeticError, match="exceeded the coefficient bound after 1 digits"):
+        _dixon_solve([[2]], [3], 1)
+    with pytest.raises(ArithmeticError, match="exceeded the coefficient bound after 1 digits"):
+        _dixon_solve([[1]], [2**200], 1)
+
+
 def test_charpoly_refuses_a_non_cyclic_first_vector():
     m = T2Matrix(0, 2, ((5, 0), (0, 5)))
     with pytest.raises(ArithmeticError, match="singular"):
@@ -449,6 +467,24 @@ def test_integer_roots_match_the_unfiltered_search():
     # and so do polynomials with two and with three or more integer roots
     assert {(True, True, True), (True, False, True), (False, False, False)} <= kinds
     assert {("roots found", 2), ("roots found", 3)} <= kinds
+    # constant terms that the divisor set covers in full, at its 10^9 edge
+    # among them: a prime, two primes next to the square root, and
+    # 735 134 400 = 2^6 3^3 5^2 7 11 13 17 with 1344 divisors; roots among
+    # the largest divisors, and none at all
+    p = 999_999_937
+    fixed = []
+    for cofactor, roots in [
+        ([1, 0, 1], [-1]), ([1, 1, 1], [1]),
+        ([1], [10**9, 1]), ([1, 1], [-5 * 10**8, -2]),
+        ([1], [p, 1]), ([1, 1, p], []), ([1], [31_601, 31_607]),
+        ([1], [735_134_400, -1]), ([1, 0, 1], [367_567_200, 2]), ([1, 1, 735_134_400], []),
+    ]:
+        poly = cofactor
+        for r in roots:
+            poly = _int_poly_mul(poly, [1, -r])
+        fixed.append(poly)
+        assert _integer_roots(poly) == _integer_roots_unfiltered(poly), poly
+    assert {poly[-1] for poly in fixed} == {1, -1, 10**9, p, 31_601 * 31_607, 735_134_400, -735_134_400}
 
 
 def _int_poly_mul(a, b):

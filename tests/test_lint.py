@@ -172,3 +172,160 @@ def test_readme_private_references_resolve():
     text = README.read_text(encoding="utf-8")
     assert re.search(r"`(\w+\.)?_[A-Za-z]\w*`", text)
     assert stale_private_references(text, modules) == []
+
+
+
+def top_level_names(source):
+    """Names a module binds at its top level by def, class or assignment."""
+    bound = set()
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return bound
+
+
+def unread_exports(init_source, sources):
+    """Names `__init__` re-exports that no module reads: a read counts in
+    a module that defines or imports the name, as an `ast.Load` of the
+    bare name outside the function or class defining it; sources maps
+    module names to their text."""
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    read = set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        visible = top_level_names(source) | {
+            alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+        for stmt in tree.body:
+            own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else set()
+            loads = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            read |= (loads - own) & visible
+    return sorted(exported - read)
+
+
+# Exported for the package's users although no package module reads them.
+UNREAD_EXPORTS = {
+    "delta": "the benchmark tracer's modforms.delta span wraps it",
+    "load_records": "the benchmark's scan job and the tests read record files with it",
+    "main_bound": "the paper's closed-form bound, called by acceptance 9 and README 'Library'",
+    "murty_bound": "the paper's Murty bound, called by acceptance 9 and README 'Library'",
+}
+
+
+def test_unread_exports_are_found():
+    init = "from .a import recursive, used, Cls, CONST, unused as alias\nfrom . import b\n__version__ = '1'\n"
+    sources = {
+        "a": (
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "def used():\n"
+            "    return Cls\n"
+            "class Cls:\n"
+            "    pass\n"
+            "CONST = 1\n"
+            "def unused():\n"
+            "    pass\n"
+        ),
+        "b": (
+            "from .a import used\n"
+            "used()\n"
+            "def shadows(recursive):\n"
+            "    CONST = 2\n"
+            "    return recursive, CONST\n"
+            "x = obj.unused\n"
+        ),
+    }
+    assert unread_exports(init, sources) == ["CONST", "alias", "b", "recursive"]
+
+
+def test_every_export_is_read_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert unread_exports(init, sources) == sorted(UNREAD_EXPORTS)
+
+
+def package_imports(source, package="heckescan"):
+    """Line numbers of the imports that reach into the package: relative
+    ones and absolute ones of the package or its modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else [package]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(n == package or n.startswith(package + ".") for n in names):
+            found.append(node.lineno)
+    return found
+
+
+def names_read(source, names):
+    """Those of names that source reads: as a bare name, as an attribute
+    or in an import."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name for alias in node.names)
+    return sorted(read & set(names))
+
+
+def test_package_imports_are_found():
+    source = (
+        "import sys\n"
+        "from . import cli\n"
+        "from .hecke import x\n"
+        "import heckescan.series\n"
+        "from heckescan import modp\n"
+        "from heckescanner import y\n"
+        "def f():\n"
+        "    from ..heckescan import z\n"
+    )
+    assert package_imports(source) == [2, 3, 4, 5, 8]
+
+
+def test_names_read_and_top_level_names_are_found():
+    source = (
+        "from .m import _a\n"
+        "import _b\n"
+        "_c = 1\n"
+        "_d: int = 2\n"
+        "x, (_e, y) = 3, (4, 5)\n"
+        "def _f():\n"
+        "    _g = m._h\n"
+        "    return _c\n"
+        "class _I:\n"
+        "    _j = 0\n"
+    )
+    names = ["_a", "_b", "_c", "_d", "_e", "_f", "_g", "_h", "_I", "_j"]
+    assert names_read(source, names) == ["_a", "_b", "_c", "_h"]
+    assert top_level_names(source) == {"_c", "_d", "x", "_e", "y", "_f", "_I"}
+
+
+# Packed arithmetic mod a prime: the kernels on the byte-window format,
+# the Gauss-Jordan inverse and the Dixon solver.
+MODP_NAMES = {
+    "_CAST", "_window", "_pack", "_unpack", "_reducer", "_factor_degrees_mod_q",
+    "_pm_trim", "_pm_gcd", "_inverse_mod_p", "_LIFT_PRIMES", "_dixon_solve",
+}
+
+
+def test_packed_arithmetic_lives_in_modp_alone():
+    modp = (PACKAGE / "modp.py").read_text(encoding="utf-8")
+    hecke = (PACKAGE / "hecke.py").read_text(encoding="utf-8")
+    assert MODP_NAMES <= top_level_names(modp)
+    assert not MODP_NAMES & top_level_names(hecke)
+    assert package_imports(modp) == []
+    assert names_read(hecke, ["_pack", "_unpack", "_window", "_CAST"]) == []
