@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 import threading
 from array import array
 from dataclasses import dataclass
@@ -99,26 +100,33 @@ def primorial_row(k, table):
 # and descending the tree of the first failing segment on a shrinking
 # remainder finds the leftmost non-divisor.
 #
-# Odd N are settled by one word-size mod.  For even N one mod by the
-# cached P_63 = p_1 * ... * p_63 (the first _SMALL_SEGMENTS segments)
-# leaves a small remainder, and the search over those segments runs on it, since
-# each segment product divides P_63.
+# Odd N are settled by the parity test.  Every even N first meets one mod
+# by a word W = 2 * 3 * 5 * 7 * p_62 * p_63 = 18 889 710: 210 times the
+# largest primes of P_63 = p_1 * ... * p_63 (the first _SMALL_SEGMENTS
+# segments) that keep W within one int digit, so the mod is one pass over
+# the digits of N.  If 3, 5 or 7 does not divide w = N mod W, that prime
+# is the answer.  Otherwise one mod by the cached P_63 leaves a small
+# remainder, and the search over those segments runs on it, since each
+# segment product divides P_63.
 #
 # If the answer is p, every prime below p divides N, so theta(p-) <= log N
-# (the paper's bound).  The search uses this once P_63 divides N: a float
-# estimate of log N picks J with p_1 * ... * p_J just at or below N, and
-# one exact division by that primorial P_J, whose quotient is tiny,
-# settles all of p_1 .. p_J at once.  The estimate only chooses where to
-# look; every verdict is an exact divisibility test.  Costs, with |N| the
-# size of N:
-#   - N missing a prime below p_64: one mod of N by a word or by P_63;
-#   - N divisible by every prime up to the theta bound: building P_J as a
-#     cached mark times a few tree nodes (one lopsided product of sizes
-#     |N| and at most |N|/8, see below), one near-linear division and a
-#     few small mods on the quotient;
+# (the paper's bound).  The search uses this when W divides N, which
+# P_63 | N needs: a float estimate of log N picks J with p_1 * ... * p_J
+# just at or below N, and one exact division by that primorial P_J, whose
+# quotient is tiny, settles all of p_1 .. p_J at once.  If P_J does not
+# divide N, the mod by P_63 and the segment search follow as for any
+# other N.  The estimate only chooses where to look; every verdict is an
+# exact divisibility test.  Costs, with |N| the size of N:
+#   - N missing 3, 5 or 7: one mod of N by the word W;
+#   - N divisible by every prime up to the theta bound: the mod by W,
+#     then building P_J as a cached mark times a few tree nodes (one
+#     lopsided product of sizes |N| and at most |N|/8, see below), one
+#     near-linear division and a few small mods on the quotient;
+#   - N missing some other prime below p_64: the mod by W and one mod of
+#     N by P_63 (smooth N such as P_15 * 3^100000 pay the first on top);
 #   - any other N: the segment search, one mod of N per segment, which is
 #     quadratic in |N| with pure Python integers (subquadratic with GMP).
-#     Such an N also pays for building P_J in vain.
+# An N that W divides but P_J does not also pays for building P_J in vain.
 #
 # Each segment caches at most _MARK_STEPS + 1 partial primorials, its
 # marks: marks[t] is the product of every prime before the segment and
@@ -227,6 +235,24 @@ def primes_above(n):
         i += 1
 
 
+@functools.cache
+def _word():
+    """W: 210 times the largest primes of P_63, as many as keep the product
+    below 2^bits_per_digit, so 210 * p_62 * p_63 for 30-bit digits.  Read
+    from the pool on first use: a sieve at import, though freed, raised
+    the peak memory of later work."""
+    count = (1 << _SMALL_SEGMENTS) - 1
+    with _seg_lock:
+        _grow_pool(count)
+        small = _seg_prime_pool[:count]
+    word = 210
+    for p in reversed(small):
+        if word * p >> sys.int_info.bits_per_digit:
+            break
+        word *= p
+    return word
+
+
 def _segment(i):
     if i < len(_segments):
         return _segments[i]
@@ -295,12 +321,16 @@ def smallest_nondivisor_prime(n):
     nz = _mpz(n)
     if nz & 1:
         return 2
+    w = nz % _word()
+    if w % 210:
+        return 3 if w % 3 else 5 if w % 5 else 7
+    if not w:
+        p = _theta_jump(nz)
+        if p is not None:
+            return p
     r = nz % _segment(_SMALL_SEGMENTS).marks[0]
     if r:
         return _segment_search(r, 1)
-    p = _theta_jump(nz)
-    if p is not None:
-        return p
     return _segment_search(nz, _SMALL_SEGMENTS)
 
 

@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 import math
 import os
 import random
+import statistics
 import time
 from fractions import Fraction
 
@@ -82,29 +83,42 @@ def test_acceptance_02_scan_to_1000_no_duplicates(tmp_path):
     assert elapsed < 600.0
 
     # parallel path: identical records, and speedup near the machine's own
-    # multi-process ceiling (near-linear when the cores are really there)
-    sub0 = time.monotonic()
-    sub_serial = run_scan(900, 1000, workers=1)
-    t_serial = time.monotonic() - sub0
-    sub0 = time.monotonic()
-    sub_parallel = run_scan(900, 1000, workers=4)
-    t_parallel = time.monotonic() - sub0
-    assert sub_parallel.records == sub_serial.records
-    assert sub_parallel.records == report.records[-len(sub_parallel.records) :]
-    speedup = t_serial / t_parallel if t_parallel else float("inf")
-    ceiling = _parallel_ceiling()
+    # multi-process ceiling (near-linear when the cores are really there).
+    # A shared host's usable cores change from second to second, so each
+    # of three rounds measures the ceiling beside its own pair of re-scans,
+    # and the medians are compared.
+    rounds = []
+    for rnd in range(1, 4):
+        ceiling = _parallel_ceiling()
+        sub0 = time.monotonic()
+        sub_serial = run_scan(900, 1000, workers=1)
+        t_serial = time.monotonic() - sub0
+        sub0 = time.monotonic()
+        sub_parallel = run_scan(900, 1000, workers=4)
+        t_parallel = time.monotonic() - sub0
+        assert sub_parallel.records == sub_serial.records
+        assert sub_parallel.records == report.records[-len(sub_parallel.records) :]
+        speedup = t_serial / t_parallel if t_parallel else float("inf")
+        print(
+            f"ACCEPTANCE 2 round {rnd}: machine ceiling {ceiling:.2f}x; re-scan of "
+            f"900..1000 {t_serial:.2f}s serial, {t_parallel:.2f}s with 4 workers, "
+            f"speedup {speedup:.2f}x"
+        )
+        rounds.append((ceiling, speedup))
+    ceiling = statistics.median(c for c, _ in rounds)
+    speedup = statistics.median(s for _, s in rounds)
     if ceiling > 1.2:
         assert speedup > 0.6 * ceiling, (
-            f"4-worker speedup {speedup:.2f}x vs machine ceiling {ceiling:.2f}x"
+            f"median 4-worker speedup {speedup:.2f}x vs median machine ceiling "
+            f"{ceiling:.2f}x over rounds {rounds}"
         )
     _report(
         2,
         elapsed,
         600,
         f"500 records over k=2..1000, zero duplicate (dim, trace) pairs; "
-        f"4-worker speedup {speedup:.2f}x (machine ceiling {ceiling:.2f}x, "
-        f"{os.cpu_count()} cores); re-scan of 900..1000 {t_serial:.2f}s serial, "
-        f"{t_parallel:.2f}s with 4 workers",
+        f"median 4-worker speedup {speedup:.2f}x (median machine ceiling "
+        f"{ceiling:.2f}x, {os.cpu_count()} cores) over three rounds",
     )
 
 

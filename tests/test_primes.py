@@ -114,11 +114,35 @@ def test_smallest_nondivisor_rejects_zero():
         smallest_nondivisor_prime(0)
 
 
+def _screen_inputs(ps):
+    """N that reach every branch after the word screen: a gap below p_62
+    while p_62 * p_63 divides N, multiples of the word, smooth huge N and
+    random even N, some of them multiples of 210."""
+    import random
+
+    yield math.prod(ps[:70]) // ps[29]
+    word = 210 * ps[61] * ps[62]
+    for m in range(1, 30_001):
+        yield word * m
+    yield 2**100_000
+    yield math.prod(ps[:15]) * 3**100_000
+    yield math.prod(ps[:40]) * 7**5000
+    yield 210**3000 * 11**2000
+    yield math.prod(ps[:63]) * 13**4000
+    rng = random.Random(27)
+    for _ in range(200):
+        n = rng.getrandbits(rng.randint(1000, 30_000)) | 1 << 999
+        yield 2 * n
+        yield 210 * n
+
+
 def test_smallest_nondivisor_brute_force_oracle(table_10k):
     ps = table_10k.primes
     for n in range(1, 2001):
         expect = next(p for p in ps if n % p)
         assert smallest_nondivisor_prime(n) == expect, n
+    for n in _screen_inputs(ps):
+        assert smallest_nondivisor_prime(n) == _oracle(n, ps), n
 
 
 def test_primorial_law_small(table_10k):
@@ -189,6 +213,8 @@ def test_smallest_nondivisor_pure_int_fallback(monkeypatch, table_10k):
     ps = table_10k.primes
     assert pr._theta_jump(math.prod(ps[:70])) == ps[70]
     assert smallest_nondivisor_prime(math.prod(ps[:70])) == ps[70]
+    for n in _screen_inputs(ps):
+        assert smallest_nondivisor_prime(n) == _oracle(n, ps), n
     assert all(type(seg.product) is int for seg in pr._segments)
     assert all(type(mark) is int for seg in pr._segments for mark in seg.marks)
 
@@ -348,6 +374,32 @@ def test_small_segments_answer_before_the_theta_jump(monkeypatch, table_10k):
     # past p_63 the jump is taken
     assert smallest_nondivisor_prime(math.prod(ps[:70])) == ps[70]
     assert len(jumps) == 1
+
+
+def test_word_screen_routes_even_n(monkeypatch, table_10k):
+    import sys
+
+    import heckescan.primes as pr
+
+    ps = table_10k.primes
+    jumps, searches = [], []
+    jump, search = pr._theta_jump, pr._segment_search
+    monkeypatch.setattr(pr, "_theta_jump", lambda nz: jumps.append(nz) or jump(nz))
+    monkeypatch.setattr(
+        pr, "_segment_search", lambda r, i: searches.append(i) or search(r, i)
+    )
+    # a typical even N is settled by the word alone
+    for n in (2 * 11 * (10**9 + 7) ** 1000, 2 * 3 * 13**5000, 2 * 3 * 5 * 11**3000):
+        assert smallest_nondivisor_prime(n) == _oracle(n, ps)
+    assert jumps == [] and searches == []
+    # a primorial past p_63 goes straight to one theta jump
+    for k in (64, 100, 700):
+        jumps.clear()
+        assert smallest_nondivisor_prime(math.prod(ps[:k])) == ps[k]
+        assert len(jumps) == 1 and searches == []
+    # the word is 210 * p_62 * p_63, one int digit
+    assert pr._word() == 210 * ps[61] * ps[62] == 18_889_710
+    assert pr._word() < 2**sys.int_info.bits_per_digit
 
 
 def test_smallest_nondivisor_threads_share_fresh_caches(monkeypatch, table_10k):
