@@ -21,20 +21,21 @@ computed on raw libmp tuples at THETA_BITS, round to nearest, or in a
 private interval context: nothing reads or sets mpmath's global precision,
 so no result depends on it, and tables and reports can be used from
 threads at once.
+
+mpmath is imported inside the functions that make or read its values, so
+the exact half of the package (traces, charpolys, scans) runs without
+loading it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import add, mul, sub
-
-import mpmath
-from mpmath.libmp import fone, from_int, from_rational, fzero, mpf_add, mpf_div, mpf_le, mpf_log, mpf_lt
-from mpmath.libmp import mpf_mul, mpf_mul_int, mpf_pow, mpf_pow_int, mpf_shift, mpf_sqrt
 
 from .primes import THETA_BITS, smallest_nondivisor_prime
 
@@ -44,48 +45,59 @@ UNSHIFTED_X_MAX = Fraction(8356, 1000)
 
 ASYMPTOTIC_NOTE = "shape only: implied constants taken as 1"
 
-_make_mpf = mpmath.mp.make_mpf
-
 
 def murty_bound(n):
     """p**2 for the smallest prime p not dividing n."""
     return smallest_nondivisor_prime(n) ** 2
 
 
-def _log_level(n):
-    """L = log n as a raw tuple, after the level check the bound functions share."""
+def _log_level(libmp, n):
+    """L = log n as a raw tuple, after the level check the bound functions
+    share.  libmp is mpmath.libmp, bound once per call by the caller."""
     if n < 1:
         raise ValueError("level must be a positive integer")
-    return mpf_log(from_int(n), THETA_BITS, "n")
+    return libmp.mpf_log(libmp.from_int(n), THETA_BITS, "n")
 
 
-def _square_plus(big_l, t):  # (L + t)**2
-    return mpf_pow_int(mpf_add(big_l, t, THETA_BITS, "n"), 2, THETA_BITS, "n")
+def _square_plus(libmp, big_l, t):  # (L + t)**2
+    s = libmp.mpf_add(big_l, t, THETA_BITS, "n")
+    return libmp.mpf_mul(s, s, THETA_BITS, "n")
 
 
-def _closed_form(big_l):
-    return _make_mpf(mpf_mul_int(_square_plus(big_l, fone), 4, THETA_BITS, "n"))
+def _closed_form(libmp, big_l):
+    # 4 (L + 1)**2: the shift is exact, as multiplying by 4 would be
+    return libmp.mpf_shift(_square_plus(libmp, big_l, libmp.fone), 2)
 
 
-def _asymptotic(big_l):
+@functools.cache
+def _exponent():
+    """0.525 = 21/40 at THETA_BITS, the exponent of L in the first shape."""
+    import mpmath
+
+    return mpmath.libmp.from_rational(21, 40, THETA_BITS, "n")
+
+
+def _asymptotic(libmp, big_l):
     """The three asymptotic bound shapes with implied constant 1:
-    (L + L^0.525)^2, (L + sqrt(L) log L)^2 and (L + (log L)^2)^2.  Only
-    the shapes mean anything (ASYMPTOTIC_NOTE); bound_report asks only
-    for n >= 3, where log L is positive."""
+    (L + L^0.525)^2, (L + sqrt(L) log L)^2 and (L + (log L)^2)^2, as raw
+    tuples.  Only the shapes mean anything (ASYMPTOTIC_NOTE); bound_report
+    asks only for n >= 3, where log L is positive."""
     prec = THETA_BITS
-    log_l = mpf_log(big_l, prec, "n")
-    terms = (
-        mpf_pow(big_l, from_rational(21, 40, prec, "n"), prec, "n"),  # L^0.525
-        mpf_mul(mpf_sqrt(big_l, prec, "n"), log_l, prec, "n"),
-        mpf_pow_int(log_l, 2, prec, "n"),
+    log_l = libmp.mpf_log(big_l, prec, "n")
+    return (
+        _square_plus(libmp, big_l, libmp.mpf_pow(big_l, _exponent(), prec, "n")),
+        _square_plus(libmp, big_l, libmp.mpf_mul(libmp.mpf_sqrt(big_l, prec, "n"), log_l, prec, "n")),
+        _square_plus(libmp, big_l, libmp.mpf_mul(log_l, log_l, prec, "n")),
     )
-    return tuple(_make_mpf(_square_plus(big_l, t)) for t in terms)
 
 
 def main_bound(n):
     """4*(log n + 1)**2 as an extended-precision real; integer callers
     take the floor."""
-    return _closed_form(_log_level(n))
+    import mpmath
+
+    libmp = mpmath.libmp
+    return mpmath.mp.make_mpf(_closed_form(libmp, _log_level(libmp, n)))
 
 
 @dataclass(frozen=True)
@@ -100,9 +112,13 @@ class BoundReport:
 
 
 def bound_report(n):
-    big_l = _log_level(n)
+    import mpmath
+
+    libmp, make_mpf = mpmath.libmp, mpmath.mp.make_mpf
+    big_l = _log_level(libmp, n)
     p = smallest_nondivisor_prime(n)
-    return BoundReport(n, p, p * p, _closed_form(big_l), _asymptotic(big_l) if n >= 3 else None)
+    asymptotic = tuple(map(make_mpf, _asymptotic(libmp, big_l))) if n >= 3 else None
+    return BoundReport(n, p, p * p, make_mpf(_closed_form(libmp, big_l)), asymptotic)
 
 
 @dataclass(frozen=True)
@@ -135,6 +151,8 @@ def _interval_context():
     """A private mpmath interval context for one top-level call.
     `_certified` sets its prec, and mpmath.iv.prec is global while a table
     may be shared across threads."""
+    import mpmath
+
     return type(mpmath.iv)()
 
 
@@ -168,8 +186,11 @@ def _rational(ctx, r):
 
 def _quotient(r):
     """r at THETA_BITS, rounded as mpf(r.numerator) / r.denominator rounds it."""
-    num = from_int(r.numerator, THETA_BITS, "n")
-    return _make_mpf(mpf_div(num, from_int(r.denominator), THETA_BITS, "n"))
+    import mpmath
+
+    libmp = mpmath.libmp
+    num = libmp.from_int(r.numerator, THETA_BITS, "n")
+    return mpmath.mp.make_mpf(libmp.mpf_div(num, libmp.from_int(r.denominator), THETA_BITS, "n"))
 
 
 def _minus(theta_p, x):
@@ -276,6 +297,9 @@ def _sweep(name, screen, point, points_checked):
     cannot settle, (x, where, enclose): enclose(ctx) is the interval
     enclosure of its slack, whose midpoint at THETA_BITS, round to nearest,
     is the reported slack.  The first minimum is kept on a tie."""
+    import mpmath
+
+    libmp, make_mpf = mpmath.libmp, mpmath.mp.make_mpf
     ctx = _interval_context()
     violations = []
     min_slack = min_x = None
@@ -283,13 +307,13 @@ def _sweep(name, screen, point, points_checked):
         x, where, enclose = point(k)
         ctx.prec = THETA_BITS  # an escalation leaves it raised
         lo, hi = enclose(ctx)._mpi_
-        slack = mpf_shift(mpf_add(lo, hi, THETA_BITS, "n"), -1)
-        if min_slack is None or mpf_lt(slack, min_slack):
+        slack = libmp.mpf_shift(libmp.mpf_add(lo, hi, THETA_BITS, "n"), -1)
+        if min_slack is None or libmp.mpf_lt(slack, min_slack):
             min_slack, min_x = slack, x
-        if mpf_le(lo, fzero) and _certified(ctx, enclose, _sign) < 0:
-            violations.append((*where, _make_mpf(slack)))
+        if libmp.mpf_le(lo, libmp.fzero) and _certified(ctx, enclose, _sign) < 0:
+            violations.append((*where, make_mpf(slack)))
     return CheckReport(
-        name, not violations, points_checked, _make_mpf(min_slack), min_x, tuple(violations)
+        name, not violations, points_checked, make_mpf(min_slack), min_x, tuple(violations)
     )
 
 
@@ -344,12 +368,15 @@ def failure_intervals(table, x_max=None):
         raise ValueError("x_max must be positive")
     if table.limit < 2 * cap:
         raise ValueError(f"table limit {table.limit} below 2*x_max = {float(2 * cap)}")
+    import mpmath
+
+    libmp, make_mpf = mpmath.libmp, mpmath.mp.make_mpf
     ps = table.primes
     ctx = _interval_context()
     intervals = []
     # x in [0, 1): theta(2x) = 0 <= x always, so the failure set opens
     # at 0 (= log 1, which keeps the endpoint exact for exp later).
-    cur = [_make_mpf(fzero), 1, min(Fraction(1), cap)]
+    cur = [make_mpf(libmp.fzero), 1, min(Fraction(1), cap)]
     primorial = 1
     for i, p in enumerate(ps):
         seg_lo = Fraction(p, 2)
@@ -369,7 +396,7 @@ def failure_intervals(table, x_max=None):
         # failure starts inside the segment, at theta(p) = log(primorial),
         # unless theta(p) clears the segment too
         inside = _below(ctx, theta_p, seg_hi)
-        lo = _make_mpf(mpf_log(from_int(primorial), THETA_BITS, "n"))
+        lo = make_mpf(libmp.mpf_log(libmp.from_int(primorial), THETA_BITS, "n"))
         cur = [lo, primorial, seg_hi] if inside else None
     if cur is not None:
         intervals.append(cur)

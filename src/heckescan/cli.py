@@ -15,7 +15,8 @@ the same range finishes it.  All numeric output uses a plain decimal
 point and no grouping, regardless of locale.  Every subcommand but
 theta-plot, which writes CSV, accepts --json for a machine-readable line
 mirroring the underlying record fields; big integers are emitted as
-decimal strings there.
+decimal strings there.  mpmath is loaded only by the subcommands that
+print an extended-precision value and by --version.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import math
 import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
-
-import mpmath
 
 from . import __version__
 from .bounds import (
@@ -55,6 +55,8 @@ def _level(text):
 
 
 def _fmt(x, digits=20):
+    import mpmath
+
     return mpmath.nstr(x, digits)
 
 
@@ -66,6 +68,8 @@ def emit_theta_plot(x_max, table):
         raise ValueError("x_max must be positive")
     if 2 * x_max > table.limit:
         raise ValueError(f"table limit {table.limit} below 2*x_max")
+    import mpmath
+
     rows = ["x,theta_2x,y_line", "0.0,0.0,0.0"]
     prev = mpmath.mpf(0)
     last_x = 0.0
@@ -114,13 +118,13 @@ def dispatch(argv):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heckescan",
         description="Exact T2 traces for level-1 cusp forms and prime-counting bound checks.",
         # keeps the --version line whole at any terminal width
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("--version", action="version", version=_version_text())
+    parser.add_argument("--version", action="version")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("vmbasis", help="echelon basis of the weight-k cusp space")
@@ -184,8 +188,20 @@ def _build_parser():
     return parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's version action prints `parser.version` when it is given
+    no text of its own, so the --version text is built only when the
+    option is given: reading mpmath's version loads it."""
+
+    @property
+    def version(self):
+        return _version_text()
+
+
 def _version_text():
     """The version and the big-integer backends the numbers depend on."""
+    import mpmath
+
     try:
         import gmpy2
     except ImportError:
@@ -402,7 +418,7 @@ def _cmd_primorial_table(args):
         raise ValueError("--count must be positive")
     # p_n < n (ln n + ln ln n) for n >= 6 (Rosser-Schoenfeld); 64 covers n < 6
     n = args.count + 1
-    table = sieve(max(64, int(n * (mpmath.log(n) + mpmath.log(mpmath.log(n)))) + 1))
+    table = sieve(max(64, int(n * (math.log(n) + math.log(math.log(n)))) + 1))
     rows = [primorial_row(k, table) for k in range(1, args.count + 1)]
     if args.json:
         print(json.dumps({

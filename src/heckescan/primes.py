@@ -18,9 +18,6 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
-import mpmath
-from mpmath import libmp
-
 try:
     from gmpy2 import mpz as _mpz
 except ImportError:  # pragma: no cover - exercised only without gmpy2
@@ -40,9 +37,11 @@ class PrimeTable:
     def theta_prefix(self):
         """theta_prefix[i] is sum(log p) over the first i+1 primes at
         THETA_BITS, built on first read (`primorial_row`, `theta-plot`)."""
+        import mpmath
+
         # the raw-tuple form of total += mpmath.log(p) under workprec(THETA_BITS):
         # the same libmp calls at the same precision and rounding, bit for bit
-        prec = THETA_BITS
+        prec, libmp = THETA_BITS, mpmath.libmp
         log, add, from_int, make_mpf = libmp.mpf_log, libmp.mpf_add, libmp.from_int, mpmath.mp.make_mpf
         prefix = []
         total = libmp.fzero

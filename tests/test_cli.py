@@ -394,6 +394,17 @@ def test_primorial_table_rows_match_primorial_row(count, capsys):
     ]
 
 
+def test_primorial_table_ignores_mpmath_global_precision(monkeypatch, capsys):
+    # the sieve limit once came from mpmath.log at the caller's mp.prec,
+    # and at 2 bits it fell short of p_5001
+    argv = ["primorial-table", "--count", "5000", "--json"]
+    assert dispatch(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(mpmath.mp, "prec", 2)
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_primorial_table_count_0_exits_2(capsys):
     assert dispatch(["primorial-table", "--count", "0"]) == 2
     assert capsys.readouterr().err == "error: --count must be positive\n"

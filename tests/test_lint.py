@@ -329,3 +329,57 @@ def test_packed_arithmetic_lives_in_modp_alone():
     assert not MODP_NAMES & top_level_names(hecke)
     assert package_imports(modp) == []
     assert names_read(hecke, ["_pack", "_unpack", "_window", "_CAST"]) == []
+
+
+def import_time_imports(source, module):
+    """Line numbers of the statements that import `module` or one of its
+    submodules when the source is imported: at the top level, in the
+    bodies of `try`, `if`, `with` and classes, but not inside a function."""
+    found = []
+    todo = [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(n == module or n.startswith(module + ".") for n in names):
+            found.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_import_time_imports_are_found():
+    source = (
+        "import mpmath\n"
+        "from mpmath.libmp import fone\n"
+        "import mpmathx, os\n"
+        "try:\n"
+        "    import gmpy2\n"
+        "except ImportError:\n"
+        "    from mpmath import libmp\n"
+        "if True:\n"
+        "    import mpmath.libmp as libmp\n"
+        "else:\n"
+        "    from . import mpmath\n"
+        "class C:\n"
+        "    import mpmath\n"
+        "def f():\n"
+        "    import mpmath\n"
+    )
+    assert import_time_imports(source, "mpmath") == [1, 2, 7, 9, 13]
+
+
+def test_no_module_imports_mpmath_at_import_time():
+    # scan, charpoly and every scan worker run without mpmath; only the
+    # functions that make, read or print an extended-precision value load it
+    found = [
+        (p.name, line)
+        for p in sorted(PACKAGE.glob("*.py"))
+        for line in import_time_imports(p.read_text(encoding="utf-8"), "mpmath")
+    ]
+    assert found == []
