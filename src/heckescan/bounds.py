@@ -32,10 +32,10 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .primes import THETA_BITS, smallest_nondivisor_prime
 
@@ -100,8 +100,7 @@ def main_bound(n):
     return mpmath.mp.make_mpf(_closed_form(libmp, _log_level(libmp, n)))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """All bound values for one level, from one L = log n."""
 
     level: int
@@ -121,8 +120,7 @@ def bound_report(n):
     return BoundReport(n, p, p * p, make_mpf(_closed_form(libmp, big_l)), asymptotic)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a pointwise inequality sweep."""
 
     name: str
@@ -133,8 +131,7 @@ class CheckReport:
     violations: tuple
 
 
-@dataclass(frozen=True)
-class FailureInterval:
+class FailureInterval(NamedTuple):
     """Maximal interval [lo, hi) on which theta(2x) <= x.
 
     Endpoints carry exact tags alongside their numeric values: lo is

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .modforms import _echelon_columns, _j_chain, dim_cusp, miller_basis
 from .modp import _dixon_solve, _factor_degrees_mod_q
@@ -43,8 +43,7 @@ def trace_t2(k):
     return (d, sum(col[-1] for col in cols))
 
 
-@dataclass(frozen=True)
-class T2Matrix:
+class T2Matrix(NamedTuple):
     """Matrix of T2 in the echelon basis: entries[j - 1][i - 1] is
     a_j(T2 f_i) = a_(2j)(f_i) + 2^(k-1) a_(j/2)(f_i) (the second term only
     for even j), so column i - 1 holds the coordinates of T2 f_i."""
@@ -79,8 +78,7 @@ def _decimal(n):
     return str(decimal.Decimal(n))
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(NamedTuple):
     """Monic integer characteristic polynomial, coefficients stored from
     the leading term down: coeffs[0] = 1, degree = len(coeffs) - 1."""
 
@@ -142,8 +140,7 @@ def charpoly_t2(k, matrix=None):
     return CharPoly(k, (1,) + tuple(-ci for ci in reversed(c)))
 
 
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
+class IrreducibilityVerdict(NamedTuple):
     """Outcome of check_irreducible.
 
     kind is "irreducible" (with the witness prime that closed the degree-set

@@ -16,8 +16,8 @@ computed before.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .series import IntSeries, series_mul, series_pow
 
@@ -124,8 +124,7 @@ def dim_cusp(k):
     return k // 12
 
 
-@dataclass(frozen=True)
-class MillerBasis:
+class MillerBasis(NamedTuple):
     """Echelon basis of the weight-k cusp space: a_i(f_j) = [i == j] for
     1 <= i, j <= dim, every coefficient an integer."""
 

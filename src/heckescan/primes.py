@@ -10,13 +10,14 @@ They are summed on first read: the theta sweeps work from the primes alone.
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import math
 import sys
 import threading
 from array import array
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 try:
     from gmpy2 import mpz as _mpz
@@ -26,12 +27,13 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 THETA_BITS = 96
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """All primes <= limit.  Immutable; share freely across threads."""
+class PrimeTable(collections.namedtuple("PrimeTable", "limit primes")):
+    """All primes <= limit (an int), ascending in the tuple primes.
+    Immutable; share freely across threads.
 
-    limit: int
-    primes: tuple[int, ...]
+    The one record that subclasses collections.namedtuple rather than
+    typing.NamedTuple: a NamedTuple class has no instance dict, and the
+    cached theta_prefix lives in one.  The fields stay read-only."""
 
     @functools.cached_property
     def theta_prefix(self):
@@ -51,8 +53,7 @@ class PrimeTable:
         return tuple(prefix)
 
 
-@dataclass(frozen=True)
-class PrimorialRow:
+class PrimorialRow(NamedTuple):
     """k-th primorial summary: the k-th prime, the gap to the next one,
     and log(p_1 * ... * p_k) = theta(p_k)."""
 

@@ -17,7 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hecke import trace_t2
 from .modforms import dim_cusp
@@ -30,8 +30,7 @@ MAEDA_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class WeightRecord:
+class WeightRecord(NamedTuple):
     k: int
     dim: int
     trace: int
@@ -50,8 +49,8 @@ class RecordFileError(ValueError):
 
 def compute_record(k):
     """The record of weight k: (dim, trace) of T2.  The scan's worker
-    processes call it too, so the record must pickle, as a frozen
-    dataclass does."""
+    processes call it too, so the record must pickle, as a named tuple
+    defined at module level does."""
     d, t = trace_t2(k)
     return WeightRecord(k, d, t)
 
@@ -117,8 +116,7 @@ def detect_duplicates(records):
     return tuple(sorted(pairs))
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     k_min: int
     k_max: int
     records: tuple[WeightRecord, ...]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -537,7 +536,7 @@ def _bits(value):
 
 
 def _fields(rep):
-    return {f.name: _bits(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
+    return {name: _bits(getattr(rep, name)) for name in rep._fields}
 
 
 def _assert_matches_oracle(rep, want, margin):

@@ -55,7 +55,8 @@ EXACT_HALF = """
     before = "mpmath" in sys.modules
     code, out = run(["bound", "--level", "210", "--json"])
     print(json.dumps({"codes": codes + [code], "before": before,
-                      "after": "mpmath" in sys.modules, "bound": out}))
+                      "after": "mpmath" in sys.modules, "bound": out,
+                      "dataclasses": "dataclasses" in sys.modules}))
 """
 
 
@@ -66,6 +67,7 @@ def test_exact_subcommands_run_without_mpmath(tmp_path):
         "before": False,
         "after": True,
         "bound": BOUND_210 + "\n",
+        "dataclasses": False,
     }
 
 
